@@ -21,9 +21,9 @@ Shape claims:
 
 The module doubles as the CI smoke benchmark, so the dataset is small
 (D=800) and the chain short; scale ``SERVICE_BENCH_D`` up for real
-measurements.  The execution backend of the sharded CB scans is taken
-from ``SOLAP_SERVICE_BACKEND`` (serial / thread / process; default
-thread), which is how the CI matrix exercises both pool kinds.
+measurements.  Queries run sharded (``shards=2``) on the execution
+backend named by ``SOLAP_SERVICE_BACKEND`` (serial / thread / process;
+default thread), which is how the CI matrix exercises both pool kinds.
 
 Run as a script for the backend comparison table::
 
@@ -31,9 +31,10 @@ Run as a script for the backend comparison table::
         --backend all --workers 4
 
 which times the same pinned-seed scan-bound workload under every backend
-and prints per-query times and speedups over serial.  Process-backend
-speedup needs real cores: on a single-CPU host the table still verifies
-bit-identical results, it just cannot show a win.
+(one shard per worker) and prints per-query times and speedups over the
+serial kernel.  Process-backend speedup needs real cores: on a
+single-CPU host the table still verifies bit-identical results, it just
+cannot show a win.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ def run_service(db, specs, n_sessions, backend=None):
     """N client threads against one shared QueryService."""
     config = ServiceConfig(
         max_workers=2,
+        shards=2,
         max_concurrent=min(n_sessions, 4),
         queue_depth=max(n_sessions, 16),
         executor_backend=backend
@@ -203,9 +205,7 @@ def test_backends_agree(service_db, chain_specs):
     )
     for backend in ("thread", "process"):
         config = ServiceConfig(
-            max_workers=2,
-            executor_backend=backend,
-            parallel_scan_threshold=64,
+            max_workers=2, shards=2, executor_backend=backend
         )
         service = QueryService(
             SOLAPEngine(service_db, use_repository=False), config
@@ -228,8 +228,9 @@ def _bench_one_backend(db, spec, backend, workers, repeat):
 
     config = ServiceConfig(
         max_workers=workers,
+        # the baseline row is the serial kernel itself (fan-out 1)
+        shards=0 if backend == "serial" else workers,
         executor_backend=backend,
-        parallel_scan_threshold=64,
     )
     # use_repository=False keeps every repeat scan-bound (no cuboid cache)
     service = QueryService(SOLAPEngine(db, use_repository=False), config)
@@ -249,7 +250,7 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="sharded CB scan backend comparison"
+        description="shard-task backend comparison"
     )
     parser.add_argument(
         "--backend",
@@ -300,7 +301,7 @@ def main(argv=None):
         print(
             f"  {backend:8s} {seconds * 1e3:9.1f} ms/query  "
             f"{speedup:5.2f}x vs serial  (scan={label}, "
-            f"shards={stats.extra.get('parallel_shards', 1)})"
+            f"shards={stats.extra.get('shard_fanout', 1)})"
         )
     print("all backends returned bit-identical cells")
     if os.cpu_count() == 1 and "process" in results:

@@ -356,13 +356,15 @@ def build_shard_benches(datasets: Dict[str, object]) -> Dict[str, tuple]:
 
     Each section runs the same CB query through a
     :class:`~repro.shard.ScatterGatherCoordinator` with N logical shards
-    on the serial (inline) backend, so the wall times isolate the
+    on the serial (inline) backend — fan-out 1 installs no coordinator:
+    it is the bare kernel — so the wall times isolate the
     plan/scatter/merge overhead from pool parallelism and the
     deterministic counters prove zero work drift: every fan-out scans
     exactly the sequences the single-shard scan does and produces the
     same cell count.  ``benchmarks/bench_shards.py`` is the companion
     that measures actual multi-core speedup on the process backend.
     """
+    from repro.service import SerialExecutorBackend
     from repro.shard import ScatterGatherCoordinator
 
     synthetic = datasets["synthetic"]
@@ -371,14 +373,15 @@ def build_shard_benches(datasets: Dict[str, object]) -> Dict[str, tuple]:
     def sharded_scan(shards: int):
         def run() -> dict:
             engine = SOLAPEngine(synthetic, use_repository=False)
-            engine.scatter_gather = ScatterGatherCoordinator(
-                shards, min_sequences=1
-            )
+            if shards >= 2:
+                engine.scatter_gather = ScatterGatherCoordinator(
+                    shards, SerialExecutorBackend(), min_sequences=1
+                )
             cuboid, stats = engine.execute(spec, "cb")
             return {
                 "sequences_scanned": stats.sequences_scanned,
                 "cells": len(cuboid),
-                "fanout": stats.extra.get("shard_fanout", 0),
+                "fanout": stats.extra.get("shard_fanout", 1),
             }
 
         return run

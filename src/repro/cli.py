@@ -31,7 +31,7 @@ Example::
     solap generate transit --out data/transit --cards 300 --days 5
     solap query data/transit examples/q1.solap --strategy ii --limit 10
     solap segment write data/transit data/transit-seg
-    solap query data/transit-seg examples/q1.solap --backend process --workers 4
+    solap query data/transit-seg examples/q1.solap --backend process --shards 4 --workers 4
     solap service-stats data/transit examples/q1.solap --repeat 3
     solap serve-metrics data/transit examples/q1.solap --port 9464
 """
@@ -156,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="scan workers (>1 enables sharded CB scans)",
+        help="size of the shard-task pool (only used with --shards >= 2)",
     )
     query.add_argument(
         "--backend",
         choices=("serial", "thread", "process"),
         default="thread",
-        help="execution backend for sharded CB scans: threads share the "
+        help="execution backend for shard tasks: threads share the "
         "GIL (fairness only), processes give true multi-core matching",
     )
     query.add_argument(
@@ -170,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="logical shards for scatter-gather execution (partial "
-        "S-cuboids merged under the aggregate algebra; 0 disables)",
+        "S-cuboids merged under the aggregate algebra); 0 or 1 runs "
+        "the serial kernel",
     )
 
     advise = sub.add_parser(
@@ -209,19 +210,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query deadline for every workload query",
     )
     stats.add_argument(
-        "--workers", type=int, default=4, help="scan workers"
+        "--workers", type=int, default=4,
+        help="size of the shard-task pool (only used with --shards >= 2)",
     )
     stats.add_argument(
         "--backend",
         choices=("serial", "thread", "process"),
         default="thread",
-        help="execution backend for sharded CB scans",
+        help="execution backend for shard tasks",
     )
     stats.add_argument(
         "--shards",
         type=int,
         default=0,
-        help="logical shards for scatter-gather execution (0 disables)",
+        help="logical shards for scatter-gather execution "
+        "(0 or 1 runs the serial kernel)",
     )
     stats.add_argument(
         "--format",
@@ -393,20 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="scan workers (>1 enables sharded CB scans)",
+        help="size of the shard-task pool (only used with --shards >= 2)",
     )
     trace.add_argument(
         "--backend",
         choices=("serial", "thread", "process"),
         default="thread",
-        help="execution backend for sharded scans; worker-side spans are "
+        help="execution backend for shard tasks; worker-side spans are "
         "grafted into the exported trace",
     )
     trace.add_argument(
         "--shards",
         type=int,
         default=0,
-        help="logical shards for scatter-gather execution (0 disables)",
+        help="logical shards for scatter-gather execution "
+        "(0 or 1 runs the serial kernel)",
     )
     trace.add_argument(
         "--recent",
@@ -884,7 +888,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         max_workers=max(args.workers, 1),
         executor_backend=args.backend,
         shards=max(args.shards, 0),
-        parallel_scan_threshold=2,
     )
     with QueryService(db, config) as service:
         with Tracer("request") as tracer:

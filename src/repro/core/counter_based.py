@@ -48,42 +48,15 @@ def selected_sequences(
     """The canonical scan order of the CB procedure: every sequence of every
     selected group, group-major.
 
-    Both the serial scan below and the sharded parallel scan
-    (:mod:`repro.service.parallel`) iterate exactly this order, which is what
-    makes their results bit-identical — accumulator folds happen in the same
-    sequence order either way.
+    The serial scan below iterates exactly this order, and the shard
+    planner (:mod:`repro.shard`) preserves it within each shard, so
+    shard-local scans replay the same per-sequence fold order.
     """
     for group in groups:
         if not group_is_selected(group.key, slices):
             continue
         for sequence in group:
             yield group, sequence
-
-
-def fold_assignments(
-    db: EventDatabase,
-    spec: CuboidSpec,
-    cells: CellTable,
-    group: SequenceGroup,
-    sequence: Sequence,
-    assignments: Dict[Tuple[object, ...], list],
-) -> None:
-    """Fold one sequence's qualifying cell assignments into *cells*."""
-    for cell_key, contents in assignments.items():
-        accumulator = cells.get((group.key, cell_key))
-        if accumulator is None:
-            accumulator = CellAccumulator(spec.aggregates)
-            cells[(group.key, cell_key)] = accumulator
-        for content in contents:
-            accumulator.add_assignment(db, sequence, content)
-
-
-def finalize_cells(spec: CuboidSpec, cells: CellTable) -> SCuboid:
-    """Materialise an :class:`SCuboid` from a finished accumulator table."""
-    return SCuboid(
-        spec,
-        {key: accumulator.results() for key, accumulator in cells.items()},
-    )
 
 
 def counter_based_cuboid(
@@ -115,8 +88,13 @@ def counter_based_cuboid(
             for group, sequence in selected_sequences(groups, slices):
                 stats.add_scan()
                 assignments = matcher.assignments(sequence)
-                if assignments:
-                    fold_assignments(db, spec, cells, group, sequence, assignments)
+                for cell_key, contents in assignments.items():
+                    accumulator = cells.get((group.key, cell_key))
+                    if accumulator is None:
+                        accumulator = CellAccumulator(spec.aggregates)
+                        cells[(group.key, cell_key)] = accumulator
+                    for content in contents:
+                        accumulator.add_assignment(db, sequence, content)
             m_span.set(
                 "sequences_scanned", stats.sequences_scanned - scanned_before
             )
@@ -126,4 +104,7 @@ def counter_based_cuboid(
         scan_span.set("cells_out", len(cells))
 
     stats.checkpoint()
-    return finalize_cells(spec, cells)
+    return SCuboid(
+        spec,
+        {key: accumulator.results() for key, accumulator in cells.items()},
+    )

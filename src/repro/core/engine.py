@@ -24,7 +24,7 @@ from repro.core.counter_based import counter_based_cuboid
 from repro.core.cuboid import SCuboid
 from repro.core.inverted_index import inverted_index_cuboid, precompute_indices
 from repro.core.repository import CuboidRepository
-from repro.core.spec import CuboidSpec, PatternTemplate
+from repro.core.spec import CellRestriction, CuboidSpec, PatternTemplate
 from repro.core.stats import QueryStats
 from repro.errors import EngineError
 from repro.events.cache import SequenceCache
@@ -164,18 +164,11 @@ class SOLAPEngine:
         #: index evictions carried over from dropped pipeline registries
         self._index_evictions_carried = 0
         self._profiles: dict = {}
-        #: optional sharded-scan hook installed by the service layer: a
-        #: callable ``(db, groups, spec, stats) -> Optional[SCuboid]`` that
-        #: may decline (return None) when parallelism is not worthwhile
-        self.cb_scanner: Optional[
-            Callable[[EventDatabase, SequenceGroupSet, CuboidSpec, QueryStats],
-                     Optional[SCuboid]]
-        ] = None
-        #: optional scatter-gather hook (``repro.shard``) installed by the
-        #: service layer: ``(db, groups, spec, stats, strategy) ->
-        #: Optional[SCuboid]``.  Consulted before the single-shard CB/II
-        #: paths (never for iceberg/min_support queries); a None return
-        #: means "declined — run single-shard".
+        #: the one optional execution seam (``repro.shard``), installed by
+        #: the service layer when ``shards >= 2``: ``(db, groups, spec,
+        #: stats, strategy) -> Optional[SCuboid]``.  Consulted before the
+        #: serial CB/II kernels; a None return means "declined — run the
+        #: kernel" (fan-out 1).
         self.scatter_gather: Optional[
             Callable[
                 [EventDatabase, SequenceGroupSet, CuboidSpec, QueryStats, str],
@@ -299,47 +292,10 @@ class SOLAPEngine:
         stats.strategy = strategy.upper()
 
         with span("aggregation", strategy=stats.strategy) as agg_span:
-            if spec.min_support is not None:
-                # Iceberg query (HAVING COUNT(*) >= n): route to the iceberg
-                # implementations; the II variant prunes sub-threshold lists
-                # between join steps but cannot bound ALL-MATCHED counts.
-                from repro.core.spec import CellRestriction
-                from repro.extensions.iceberg import (
-                    iceberg_counter_based,
-                    iceberg_inverted_index,
-                )
-
-                if (
-                    strategy == "cb"
-                    or spec.restriction is CellRestriction.ALL_MATCHED
-                ):
-                    cuboid = iceberg_counter_based(
-                        self.db, groups, spec, spec.min_support, stats
-                    )
-                else:
-                    cuboid = iceberg_inverted_index(
-                        self.db, groups, spec, spec.min_support, stats
-                    )
-            elif strategy == "cb":
-                cuboid = None
-                if self.scatter_gather is not None:
-                    cuboid = self.scatter_gather(
-                        self.db, groups, spec, stats, "cb"
-                    )
-                if cuboid is None and self.cb_scanner is not None:
-                    cuboid = self.cb_scanner(self.db, groups, spec, stats)
-                if cuboid is None:
-                    cuboid = counter_based_cuboid(self.db, groups, spec, stats)
+            if spec.min_support is None:
+                cuboid = self._aggregate(groups, spec, stats, strategy)
             else:
-                cuboid = None
-                if self.scatter_gather is not None:
-                    cuboid = self.scatter_gather(
-                        self.db, groups, spec, stats, "ii"
-                    )
-                if cuboid is None:
-                    cuboid = inverted_index_cuboid(
-                        self.db, groups, spec, self.registry_for(spec), stats
-                    )
+                cuboid = self._iceberg(groups, spec, stats, strategy)
             agg_span.set("sequences_scanned", stats.sequences_scanned)
             agg_span.set("cells_out", len(cuboid))
 
@@ -350,6 +306,50 @@ class SOLAPEngine:
         stats.runtime_seconds = time.perf_counter() - start
         self._count_query(stats, cuboid)
         return cuboid, stats
+
+    def _aggregate(
+        self,
+        groups: SequenceGroupSet,
+        spec: CuboidSpec,
+        stats: QueryStats,
+        strategy: str,
+    ) -> SCuboid:
+        """Build the cuboid: the sharded seam first, else the serial kernel."""
+        if self.scatter_gather is not None:
+            cuboid = self.scatter_gather(self.db, groups, spec, stats, strategy)
+            if cuboid is not None:
+                return cuboid
+        if strategy == "cb":
+            return counter_based_cuboid(self.db, groups, spec, stats)
+        return inverted_index_cuboid(
+            self.db, groups, spec, self.registry_for(spec), stats
+        )
+
+    def _iceberg(
+        self,
+        groups: SequenceGroupSet,
+        spec: CuboidSpec,
+        stats: QueryStats,
+        strategy: str,
+    ) -> SCuboid:
+        """Answer a ``HAVING COUNT(*) >= n`` (``min_support``) query."""
+        from repro.extensions.iceberg import (
+            filter_min_support,
+            iceberg_inverted_index,
+        )
+
+        if strategy == "ii" and spec.restriction is not CellRestriction.ALL_MATCHED:
+            # II prunes sub-threshold lists between join steps; the pruned
+            # chain is per-group state, so it stays single-shard.
+            return iceberg_inverted_index(
+                self.db, groups, spec, spec.min_support, stats
+            )
+        # CB — and ALL-MATCHED, whose counts list lengths cannot bound —
+        # is the ordinary aggregation with the filter applied after the
+        # merge: COUNT merges exactly, so this is sound at any fan-out.
+        cuboid = self._aggregate(groups, spec, stats, "cb")
+        stats.strategy = "iceberg-CB"
+        return filter_min_support(cuboid, spec.min_support)
 
     # ------------------------------------------------------------------
     # Semantic cache (derive from cached cuboids on exact-key miss)

@@ -164,6 +164,15 @@ class ServiceOverloadedError(ServiceError):
         super().__init__(message)
 
 
+class WorkerLostError(ServiceError):
+    """A pool worker died while running a shard task of this query.
+
+    The process backend converts ``concurrent.futures.BrokenExecutor``
+    into this and rebuilds its pool, so only the in-flight query fails;
+    retrying it answers normally.
+    """
+
+
 class SessionNotFoundError(ServiceError):
     """The referenced service session does not exist (or was evicted)."""
 

@@ -44,7 +44,8 @@ from repro.index.inverted import (
 from repro.index.registry import base_template
 
 
-def _filter_cells(cuboid: SCuboid, min_support: int) -> SCuboid:
+def filter_min_support(cuboid: SCuboid, min_support: int) -> SCuboid:
+    """``HAVING COUNT(*) >= min_support`` over a finished cuboid."""
     count_name = "COUNT(*)"
     kept = {
         key: values
@@ -67,7 +68,7 @@ def iceberg_counter_based(
     stats = stats if stats is not None else QueryStats()
     stats.strategy = "iceberg-CB"
     cuboid = counter_based_cuboid(db, groups, spec, stats)
-    return _filter_cells(cuboid, min_support)
+    return filter_min_support(cuboid, min_support)
 
 
 def _prune(index: InvertedIndex, min_support: int, stats: QueryStats) -> InvertedIndex:
@@ -147,4 +148,4 @@ def iceberg_inverted_index(
         index = _iceberg_index(group, spec, db, min_support, stats)
         for cell_key, values in count_index(index, group, spec, db, stats).items():
             cells[(group.key, cell_key)] = values
-    return _filter_cells(SCuboid(spec, cells), min_support)
+    return filter_min_support(SCuboid(spec, cells), min_support)

@@ -28,7 +28,7 @@ WORKER_STAGES = ("attach", "rebuild", "match", "fold")
 
 @dataclass
 class WorkerProfile:
-    """One worker task's resource accounting (a shard, or a scan chunk)."""
+    """One shard task's resource accounting."""
 
     shard: int
     pid: int = 0

@@ -2,8 +2,8 @@
 
 The serving layer above the single-threaded engine of Figure 6: admission
 control, per-query deadlines with cooperative cancellation, sharded
-counter-based scans, server-side sessions with LRU memory management, and
-lightweight metrics.  See ``docs/service.md``.
+scatter-gather execution, server-side sessions with LRU memory
+management, and lightweight metrics.  See ``docs/service.md``.
 """
 
 from repro.service.config import EXECUTOR_BACKENDS, ServiceConfig
@@ -11,12 +11,10 @@ from repro.service.deadline import Deadline
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.parallel import (
     ExecutorBackend,
-    ParallelCBScanner,
     ProcessExecutorBackend,
     SerialExecutorBackend,
     ThreadExecutorBackend,
     create_backend,
-    split_chunks,
 )
 from repro.service.service import SESSION_OPERATIONS, QueryService
 from repro.service.sessions import SessionEntry, SessionManager
@@ -26,7 +24,6 @@ __all__ = [
     "EXECUTOR_BACKENDS",
     "ExecutorBackend",
     "LatencyHistogram",
-    "ParallelCBScanner",
     "ProcessExecutorBackend",
     "QueryService",
     "SESSION_OPERATIONS",
@@ -37,5 +34,4 @@ __all__ = [
     "SessionManager",
     "ThreadExecutorBackend",
     "create_backend",
-    "split_chunks",
 ]

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: the execution backends a sharded CB scan can run on (see
-#: :mod:`repro.service.parallel`): ``serial`` disables sharding entirely,
-#: ``thread`` shards onto a thread pool (cheap handoff, but the
-#: pure-Python matching loop stays GIL-serialised), ``process`` shards
-#: onto a process pool (true multi-core; the event database is shipped
-#: once per worker).
+#: the execution backends a sharded query's shard tasks can run on (see
+#: :mod:`repro.service.parallel`): ``serial`` runs them inline on the
+#: calling thread, ``thread`` on a thread pool (cheap handoff, but the
+#: pure-Python matching loop stays GIL-serialised), ``process`` on a
+#: process pool (true multi-core; the event database is shipped once per
+#: worker).
 EXECUTOR_BACKENDS = ("serial", "thread", "process")
 
 #: multiprocessing start methods accepted for the process backend
@@ -26,25 +26,20 @@ PROCESS_START_METHODS = (None, "fork", "spawn", "forkserver")
 class ServiceConfig:
     """Configuration for a :class:`~repro.service.service.QueryService`."""
 
-    #: workers of the shared scan pool (parallel CB shards run here)
+    #: workers of the shard-task pool (created only when ``shards >= 2``)
     max_workers: int = 4
-    #: shards per parallel CB scan; 0 means "use max_workers"
-    scan_shards: int = 0
     #: logical shards for scatter-gather execution (:mod:`repro.shard`):
     #: sequences are consistent-hashed onto this many shards and partial
-    #: S-cuboids are merged under the aggregate algebra.  0 disables the
-    #: scatter-gather path entirely (the default); 1 is valid and exercises
-    #: the full plan/scatter/merge machinery over a single shard.
+    #: S-cuboids are merged under the aggregate algebra.  0 and 1 both
+    #: mean fan-out 1 — the serial CB/II kernel over the whole pipeline,
+    #: with no plan, no merge and no pool (the default).
     shards: int = 0
-    #: execution backend for sharded CB scans: one of
+    #: execution backend for shard tasks: one of
     #: :data:`EXECUTOR_BACKENDS` (``serial`` | ``thread`` | ``process``)
     executor_backend: str = "thread"
     #: multiprocessing start method for the process backend (None = the
     #: platform default: fork on Linux, spawn on macOS/Windows)
     process_start_method: Optional[str] = None
-    #: minimum sequences in a pipeline before a scan is sharded at all —
-    #: below this, thread handoff costs more than it saves
-    parallel_scan_threshold: int = 512
     #: queries allowed to execute concurrently (holding an engine slot)
     max_concurrent: int = 4
     #: requests allowed to *wait* beyond the concurrent ones; anything more
@@ -83,8 +78,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.scan_shards < 0:
-            raise ValueError("scan_shards must be >= 0")
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
         if self.executor_backend not in EXECUTOR_BACKENDS:
@@ -124,10 +117,6 @@ class ServiceConfig:
             raise ValueError(
                 "flight_recorder_sample_per_second must be >= 0"
             )
-
-    @property
-    def effective_scan_shards(self) -> int:
-        return self.scan_shards or self.max_workers
 
     @property
     def admission_limit(self) -> int:

@@ -38,7 +38,6 @@ COUNTER_NAMES: Tuple[str, ...] = (
     "cancelled_total",
     "streams_total",
     "stream_chunks_total",
-    "parallel_scans_total",
     "sessions_opened",
     "sessions_closed",
     "sessions_evicted",

@@ -1,45 +1,37 @@
-"""Sharded counter-based scans and their execution backends.
+"""Execution backends for scatter-gather shard tasks.
 
-The CB strategy is embarrassingly parallel in its expensive half: pattern
-matching (``TemplateMatcher.assignments``) is a pure function of one
-sequence.  The scanner shards the engine's canonical scan order
-(:func:`repro.core.counter_based.selected_sequences`) into contiguous
-chunks, matches each chunk on an :class:`ExecutorBackend`, and folds the
-per-sequence assignments into the accumulator table **serially, in the
-canonical order**.
+A sharded query is plan -> partials -> merge (:mod:`repro.shard`): the
+coordinator consistent-hashes the selected sequences onto shards and
+hands the per-shard tasks to an :class:`ExecutorBackend`, whose single
+work method runs a full CB or II kernel over each shard's slice of the
+pipeline and returns transport-form partial cells for the merge.
 
-Folding serially is deliberate: accumulator updates are cheap relative to
-matching (for COUNT-only queries they are a dict bump), and replaying the
-exact serial fold order makes the parallel result *bit-identical* to the
-serial path — including float SUM/AVG, where addition order matters.  A
-merge of per-shard partial sums could differ in the last ulp; replaying
-the fold cannot.
+Three backends exist (selected by ``ServiceConfig.executor_backend``):
 
-Three backends implement the shard execution (selected by
-``ServiceConfig.executor_backend``):
-
-* ``serial`` — chunks matched inline on the calling thread (baseline and
-  debugging aid; the service installs no scanner at all for it);
-* ``thread`` — chunks matched on a ``ThreadPoolExecutor``.  Handoff is
+* ``serial`` — shard tasks run inline on the calling thread (baseline
+  and debugging aid: same plan, same merge, no pool);
+* ``thread`` — shard tasks run on a ``ThreadPoolExecutor``.  Handoff is
   cheap and shards share the query's :class:`Deadline` object directly,
   but the pure-Python matching loop stays GIL-serialised, so threads buy
   fairness, not CPU speedup;
-* ``process`` — chunks matched on a ``ProcessPoolExecutor``.  The
+* ``process`` — shard tasks run on a ``ProcessPoolExecutor``.  The
   :class:`EventDatabase` is shipped **once per worker** through the pool
-  initializer (a no-op copy under ``fork``, one pickle per worker under
-  ``spawn``); each task then carries only the picklable spec and a shard
-  of sequence ids, and deadline budgets travel as plain floats because
-  worker processes cannot share the coordinator's Deadline.
+  initializer (a no-op copy under ``fork``, one pickle — or one mmap
+  attach for segment stores — per worker under ``spawn``); each task
+  then carries only the picklable spec and a shard of sequence ids, and
+  deadline budgets travel as plain floats because worker processes
+  cannot share the coordinator's Deadline.
 
-The scanner declines (returns None) on empty or small inputs, where
-handoff costs more than it saves; the engine then falls through to the
-serial scan.
+A service only owns a backend when ``ServiceConfig.shards >= 2``; fan-out
+1 is the serial kernel itself and creates no pool.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import (
+    BrokenExecutor,
     Executor,
     Future,
     ProcessPoolExecutor,
@@ -48,126 +40,31 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.counter_based import (
-    CellTable,
-    finalize_cells,
-    fold_assignments,
-    selected_sequences,
-)
-from repro.core.cuboid import SCuboid
-from repro.core.matcher import (
-    TemplateMatcher,
-    can_compile,
-    get_default_occurrence_limit,
-    make_matcher,
-    occurrence_limit,
-)
+from repro.core.matcher import get_default_occurrence_limit, occurrence_limit
 from repro.core.spec import CuboidSpec
-from repro.core.stats import QueryStats
-from repro.errors import QueryTimeoutError, ServiceError
+from repro.errors import ServiceError, WorkerLostError
 from repro.events.database import EventDatabase
-from repro.events.sequence import (
-    Sequence,
-    SequenceGroup,
-    SequenceGroupSet,
-    build_sequence_groups,
-)
-from repro.obs.spans import (
-    RemoteSpanCollector,
-    SpanContext,
-    current_context,
-    graft_payload,
-    span,
-)
+from repro.events.sequence import SequenceGroupSet, build_sequence_groups
+from repro.obs.spans import SpanContext
 from repro.service.config import EXECUTOR_BACKENDS, ServiceConfig
 from repro.service.deadline import Deadline
 from repro.shard.executor import (
     ShardPartial,
+    ShardTask,
     filter_groups,
-    report_attach_span,
     run_traced_shard_partial,
 )
 
 __all__ = [
     "EXECUTOR_BACKENDS",
     "ExecutorBackend",
-    "ParallelCBScanner",
     "ProcessExecutorBackend",
     "SerialExecutorBackend",
     "ThreadExecutorBackend",
     "create_backend",
-    "split_chunks",
 ]
-
-#: how many sequences a worker matches between deadline checks
-_WORKER_CHECK_EVERY = 64
-
-#: one shard of scan work: (group, sequence) pairs in canonical order
-Chunk = Seq[Tuple[SequenceGroup, Sequence]]
-
-#: per-sequence matcher output: cell key -> assigned contents
-Assignments = Dict[Tuple[object, ...], List[Tuple[int, ...]]]
-
-
-def split_chunks(items: List, n_chunks: int) -> List[List]:
-    """Split *items* into at most *n_chunks* contiguous, near-equal chunks.
-
-    An empty input yields **no** chunks (not one empty chunk): scheduling
-    a worker task for an empty shard is pure overhead.
-    """
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
-    n = len(items)
-    if n == 0:
-        return []
-    n_chunks = min(n_chunks, n)
-    size, remainder = divmod(n, n_chunks)
-    chunks: List[List] = []
-    start = 0
-    for index in range(n_chunks):
-        end = start + size + (1 if index < remainder else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
-
-
-def _match_chunk(
-    matcher: TemplateMatcher, chunk: Chunk, deadline
-) -> List[Assignments]:
-    """Match every sequence of one chunk, checking the deadline as we go."""
-    out: List[Assignments] = []
-    for position, (__, sequence) in enumerate(chunk):
-        if deadline is not None and position % _WORKER_CHECK_EVERY == 0:
-            deadline.check()
-        out.append(matcher.assignments(sequence))
-    return out
-
-
-def _traced_match_chunk(
-    matcher: TemplateMatcher,
-    chunk: Chunk,
-    deadline,
-    trace_ctx: Optional["SpanContext"],
-    backend: str,
-    index: int,
-    db: EventDatabase,
-) -> Tuple[List[Assignments], Optional[dict]]:
-    """Worker-thread entry: match one chunk, collecting spans when traced.
-
-    With ``trace_ctx=None`` the collector never activates a tracer and
-    the only extra work over :func:`_match_chunk` is one tuple — pool
-    threads do not inherit the coordinator's ContextVar, so the explicit
-    context is the only way their spans join the query trace.
-    """
-    collector = RemoteSpanCollector(trace_ctx, shard=index, backend=backend)
-    with collector:
-        report_attach_span(db)
-        with span("worker.match", shard=index) as sp:
-            out = _match_chunk(matcher, chunk, deadline)
-            sp.set("sequences_scanned", len(chunk))
-    return out, collector.payload()
 
 
 def _collect_or_cancel(futures: List[Future]) -> List:
@@ -193,67 +90,36 @@ def _collect_or_cancel(futures: List[Future]) -> List:
 
 
 class ExecutorBackend:
-    """One way of executing the shards of a parallel CB scan.
+    """One way of executing the shard tasks of a scatter-gather plan.
 
-    Concrete backends say how chunks of (group, sequence) work are
-    matched — inline, on threads, or on worker processes — and own
-    whatever pool that requires.  The scanner folds their per-sequence
-    assignment lists serially, so every backend is bit-identical to the
-    serial scan by construction.
+    Concrete backends say where the per-shard kernels run — inline, on
+    threads, or on worker processes — and own whatever pool that
+    requires.  Every backend returns the partials in task (ascending
+    shard) order, so the coordinator's merge is identical across
+    backends and across runs.
     """
 
     #: label used on metrics, trace spans and ``stats.extra``
     name: str = "?"
-    #: worker parallelism available to one scan
-    workers: int = 1
-
-    def run_shards(
-        self,
-        db: EventDatabase,
-        spec: CuboidSpec,
-        chunks: List[Chunk],
-        deadline,
-        trace_ctx: Optional[SpanContext] = None,
-    ) -> Tuple[List[List[Assignments]], List[Optional[dict]]]:
-        """Per-chunk assignment lists, in chunk (canonical) order.
-
-        Returns ``(assignment_lists, span_payloads)``; the payload list
-        is parallel to the chunks and all-None when *trace_ctx* is None
-        (the untraced fast path).
-        """
-        raise NotImplementedError
 
     def run_partial_shards(
         self,
         db: EventDatabase,
         groups: SequenceGroupSet,
         transport: CuboidSpec,
-        tasks: List[Tuple[int, Tuple[int, ...]]],
+        tasks: List[ShardTask],
         strategy: str,
         deadline,
         trace_ctx: Optional[SpanContext] = None,
     ) -> List[ShardPartial]:
-        """Scatter-gather shard tasks: per-shard *partial cuboids*.
+        """Run one CB or II kernel per task; partial cuboids in task order.
 
-        Unlike :meth:`run_shards` (which ships raw per-sequence
-        assignments back for a serial fold), each task here runs a full
-        CB or II kernel over its shard's slice of the pipeline and
-        returns transport-form cells for the coordinator to merge
-        (:mod:`repro.shard`).  The base implementation executes every
-        shard inline on the calling thread — the ``serial`` backend's
-        behaviour.  A non-None *trace_ctx* makes each shard record its
-        stage spans and resource profile onto the returned partials.
+        Each task covers its shard's slice of *groups* with the
+        *transport* spec (AVG already rewritten to AVGPAIR).  A non-None
+        *trace_ctx* makes each shard record its stage spans and resource
+        profile onto the returned partials.
         """
-        partials: List[ShardPartial] = []
-        for shard, sids in tasks:
-            partials.append(
-                run_traced_shard_partial(
-                    db, transport, strategy, shard, deadline, trace_ctx,
-                    self.name,
-                    lambda sids=sids: filter_groups(groups, frozenset(sids)),
-                )
-            )
-        return partials
+        raise NotImplementedError
 
     def warm_up(self) -> List[float]:
         """Pay worker start-up cost now instead of inside the first query.
@@ -272,6 +138,26 @@ class ExecutorBackend:
         """Release pool resources (idempotent)."""
 
 
+def _run_shared_memory_shard(
+    backend, db, groups, transport, strategy, deadline, trace_ctx, task
+) -> ShardPartial:
+    """One shard task for backends that share the coordinator's memory.
+
+    The pipeline is sliced inside the task (so ``worker.rebuild``
+    measures it) and the query's Deadline object is checked directly.
+    """
+    shard, sids = task
+    return run_traced_shard_partial(
+        db, transport, strategy, shard, deadline, trace_ctx, backend,
+        lambda: filter_groups(groups, frozenset(sids)),
+    )
+
+
+def _worker_ping(token: int) -> int:
+    """No-op task used by warm-up to force worker start-up."""
+    return token
+
+
 def _timed_warm_up(executor: Executor, workers: int) -> List[float]:
     """Submit one ping per worker; return each completion's elapsed time."""
     start = time.monotonic()
@@ -284,30 +170,29 @@ def _timed_warm_up(executor: Executor, workers: int) -> List[float]:
 
 
 class SerialExecutorBackend(ExecutorBackend):
-    """Match every chunk inline on the calling thread (no parallelism)."""
+    """Run every shard task inline on the calling thread (no pool)."""
 
     name = "serial"
 
-    def run_shards(self, db, spec, chunks, deadline, trace_ctx=None):
-        matcher = make_matcher(
-            spec.template, db.schema, spec.restriction, spec.predicate, db=db
-        )
-        # Inline execution runs in the coordinator's own context: a
-        # worker.match span per chunk records straight into the active
-        # trace (no collector round-trip needed), so payloads stay None.
-        results: List[List[Assignments]] = []
-        for index, chunk in enumerate(chunks):
-            with span("worker.match", shard=index, backend=self.name) as sp:
-                results.append(_match_chunk(matcher, chunk, deadline))
-                sp.set("sequences_scanned", len(chunk))
-        return results, [None] * len(chunks)
+    def run_partial_shards(
+        self, db, groups, transport, tasks, strategy, deadline, trace_ctx=None
+    ) -> List[ShardPartial]:
+        # Inline shards still run under a RemoteSpanCollector when traced,
+        # so every backend produces the same origin-marked worker subtrees.
+        return [
+            _run_shared_memory_shard(
+                self.name, db, groups, transport, strategy, deadline,
+                trace_ctx, task,
+            )
+            for task in tasks
+        ]
 
 
 class ThreadExecutorBackend(ExecutorBackend):
-    """Match chunks on a thread pool.
+    """Run shard tasks on a thread pool.
 
-    Shards share the coordinator's matcher and Deadline objects directly
-    (threads share memory), so handoff is one closure per chunk.  The
+    Shards share the coordinator's groups and Deadline objects directly
+    (threads share memory), so handoff is one closure per task.  The
     pure-Python matching loop holds the GIL, so this backend buys
     deadline fairness and overlap with any C-level work, not CPU scaling
     — use the process backend for that.
@@ -315,51 +200,24 @@ class ThreadExecutorBackend(ExecutorBackend):
 
     name = "thread"
 
-    def __init__(
-        self, max_workers: int, executor: Optional[Executor] = None
-    ):
+    def __init__(self, max_workers: int):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.workers = max_workers
-        self._owns_pool = executor is None
-        self.executor = executor or ThreadPoolExecutor(
+        self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="solap-scan"
-        )
-
-    def run_shards(self, db, spec, chunks, deadline, trace_ctx=None):
-        # A CompiledMatcher is safe to share across pool threads: it keeps
-        # no per-sequence scratch state, and dictionary interning under its
-        # lock (plus the GIL) keeps code assignment race-free.
-        matcher = make_matcher(
-            spec.template, db.schema, spec.restriction, spec.predicate, db=db
-        )
-        futures = [
-            self.executor.submit(
-                _traced_match_chunk,
-                matcher, chunk, deadline, trace_ctx, self.name, index, db,
-            )
-            for index, chunk in enumerate(chunks)
-        ]
-        collected = _collect_or_cancel(futures)
-        return (
-            [assignments for assignments, __ in collected],
-            [payload for __, payload in collected],
         )
 
     def run_partial_shards(
         self, db, groups, transport, tasks, strategy, deadline, trace_ctx=None
     ) -> List[ShardPartial]:
-        # Pool threads share the coordinator's groups and Deadline
-        # directly; each task slices the pipeline (inside the worker, so
-        # worker.rebuild measures it) and runs a full kernel.
         futures = [
             self.executor.submit(
-                run_traced_shard_partial,
-                db, transport, strategy, shard, deadline, trace_ctx,
-                self.name,
-                lambda sids=sids: filter_groups(groups, frozenset(sids)),
+                _run_shared_memory_shard,
+                self.name, db, groups, transport, strategy, deadline,
+                trace_ctx, task,
             )
-            for shard, sids in tasks
+            for task in tasks
         ]
         return _collect_or_cancel(futures)
 
@@ -367,21 +225,18 @@ class ThreadExecutorBackend(ExecutorBackend):
         return _timed_warm_up(self.executor, self.workers)
 
     def shutdown(self, wait: bool = True) -> None:
-        if self._owns_pool:
-            self.executor.shutdown(wait=wait)
+        self.executor.shutdown(wait=wait)
 
 
 # ---------------------------------------------------------------------------
-# Process backend: worker-side state and entry points
+# Process backend: worker-side state and entry point
 # ---------------------------------------------------------------------------
 
 #: the EventDatabase this worker process serves (set by the initializer)
 _worker_db: Optional[EventDatabase] = None
-#: per-pipeline rebuilt SequenceGroupSets (drive both task kinds)
+#: per-pipeline rebuilt SequenceGroupSets
 _worker_groups: Dict[Tuple, SequenceGroupSet] = {}
-#: per-pipeline sid -> Sequence tables, derived from the group memo
-_worker_sequences: Dict[Tuple, Dict[int, Sequence]] = {}
-#: pipelines memoised per worker before the tables are reset
+#: pipelines memoised per worker before the table is reset
 _WORKER_PIPELINE_MEMO_MAX = 8
 
 
@@ -395,12 +250,6 @@ def _process_worker_init(db: EventDatabase) -> None:
     global _worker_db
     _worker_db = db
     _worker_groups.clear()
-    _worker_sequences.clear()
-
-
-def _worker_ping(token: int) -> int:
-    """No-op task used by warm-up to force worker start-up."""
-    return token
 
 
 def _worker_groups_for(spec: CuboidSpec) -> SequenceGroupSet:
@@ -420,28 +269,18 @@ def _worker_groups_for(spec: CuboidSpec) -> SequenceGroupSet:
         )
         if len(_worker_groups) >= _WORKER_PIPELINE_MEMO_MAX:
             _worker_groups.clear()
-            _worker_sequences.clear()
         _worker_groups[key] = groups
     return groups
 
 
-def _worker_sequences_for(spec: CuboidSpec) -> Dict[int, Sequence]:
-    """This worker's sid -> Sequence table for *spec*'s pipeline."""
-    key = spec.pipeline_key()
-    table = _worker_sequences.get(key)
-    if table is None:
-        groups = _worker_groups_for(spec)
-        table = {seq.sid: seq for seq in groups.all_sequences()}
-        _worker_sequences[key] = table
-    return table
-
-
 @dataclass(frozen=True)
-class _ShardTask:
-    """The picklable payload of one process-backend shard."""
+class _PartialShardTask:
+    """The picklable payload of one process-backend shard task."""
 
     spec: CuboidSpec
     sids: Tuple[int, ...]
+    strategy: str
+    shard: int
     #: seconds of deadline budget left at submission (None = unbounded);
     #: a plain float because Deadline objects cannot cross processes
     budget_seconds: Optional[float]
@@ -450,68 +289,6 @@ class _ShardTask:
     occurrence_cap: Optional[int]
     #: the coordinator's open-span identity; None means "untraced" and
     #: keeps the worker on the NULL_SPAN fast path
-    trace_ctx: Optional[SpanContext] = None
-    #: chunk index, used only to label the worker's span origin
-    chunk: int = 0
-
-
-def _process_scan_shard(
-    task: _ShardTask,
-) -> Tuple[List[Assignments], Optional[dict]]:
-    """Worker entry point: match one shard of sequence ids."""
-    db = _worker_db
-    if db is None:
-        raise ServiceError("scan worker used before initialization")
-    started = time.monotonic()
-    expires = (
-        started + task.budget_seconds
-        if task.budget_seconds is not None
-        else None
-    )
-    collector = RemoteSpanCollector(
-        task.trace_ctx, shard=task.chunk, backend="process"
-    )
-    with collector:
-        report_attach_span(db)
-        with span("worker.rebuild") as rebuild_span:
-            sequences = _worker_sequences_for(task.spec)
-            rebuild_span.set("sequences_out", len(sequences))
-        matcher = make_matcher(
-            task.spec.template,
-            db.schema,
-            task.spec.restriction,
-            task.spec.predicate,
-            occurrence_cap=task.occurrence_cap,
-            db=db,
-        )
-        out: List[Assignments] = []
-        with span("worker.match", shard=task.chunk) as match_span:
-            for position, sid in enumerate(task.sids):
-                if (
-                    expires is not None
-                    and position % _WORKER_CHECK_EVERY == 0
-                    and time.monotonic() >= expires
-                ):
-                    raise QueryTimeoutError(
-                        "query deadline exceeded in scan worker",
-                        budget_seconds=task.budget_seconds,
-                        elapsed_seconds=time.monotonic() - started,
-                    )
-                out.append(matcher.assignments(sequences[sid]))
-            match_span.set("sequences_scanned", len(task.sids))
-    return out, collector.payload()
-
-
-@dataclass(frozen=True)
-class _PartialShardTask:
-    """The picklable payload of one scatter-gather shard (full kernel)."""
-
-    spec: CuboidSpec
-    sids: Tuple[int, ...]
-    strategy: str
-    shard: int
-    budget_seconds: Optional[float]
-    occurrence_cap: Optional[int]
     trace_ctx: Optional[SpanContext] = None
 
 
@@ -532,13 +309,13 @@ def _process_partial_shard(task: _PartialShardTask) -> ShardPartial:
 
 
 class ProcessExecutorBackend(ExecutorBackend):
-    """Match chunks on a process pool (true multi-core scans).
+    """Run shard tasks on a process pool (true multi-core scans).
 
     The backend is bound to one :class:`EventDatabase` at construction:
     the pool initializer delivers it to every worker exactly once.
     Tasks then carry only the spec and a shard of sequence ids, and each
-    worker rebuilds the (deterministic) sid -> Sequence table per
-    pipeline, memoised across tasks.
+    worker rebuilds the (deterministic) pipeline itself, memoised across
+    tasks.
     """
 
     name = "process"
@@ -551,16 +328,17 @@ class ProcessExecutorBackend(ExecutorBackend):
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        import multiprocessing
-
         self.workers = max_workers
         self.db = db
         self.start_method = start_method
-        self.executor = ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context(start_method),
+        self.executor = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context(self.start_method),
             initializer=_process_worker_init,
-            initargs=(db,),
+            initargs=(self.db,),
         )
 
     def warm_up(self) -> List[float]:
@@ -568,34 +346,6 @@ class ProcessExecutorBackend(ExecutorBackend):
         # spawn, to unpickle — or mmap-attach — the database) before the
         # first real scan; the timed completions expose that cost.
         return _timed_warm_up(self.executor, self.workers)
-
-    def run_shards(self, db, spec, chunks, deadline, trace_ctx=None):
-        if db is not self.db:
-            raise ServiceError(
-                "process backend is bound to a different EventDatabase; "
-                "construct one backend per database"
-            )
-        budget = deadline.remaining() if deadline is not None else None
-        cap = get_default_occurrence_limit()
-        futures = [
-            self.executor.submit(
-                _process_scan_shard,
-                _ShardTask(
-                    spec,
-                    tuple(sequence.sid for __, sequence in chunk),
-                    budget,
-                    cap,
-                    trace_ctx,
-                    index,
-                ),
-            )
-            for index, chunk in enumerate(chunks)
-        ]
-        collected = _collect_or_cancel(futures)
-        return (
-            [assignments for assignments, __ in collected],
-            [payload for __, payload in collected],
-        )
 
     def run_partial_shards(
         self, db, groups, transport, tasks, strategy, deadline, trace_ctx=None
@@ -610,119 +360,41 @@ class ProcessExecutorBackend(ExecutorBackend):
         # and the occurrence cap rides along because process-global state
         # does not propagate to spawn-started workers.
         budget = deadline.remaining() if deadline is not None else None
+        if budget is not None and budget <= 0:
+            deadline.check()  # spent: time out here, not as a bad budget
         cap = get_default_occurrence_limit()
-        futures = [
-            self.executor.submit(
-                _process_partial_shard,
-                _PartialShardTask(
-                    transport, sids, strategy, shard, budget, cap, trace_ctx
-                ),
-            )
-            for shard, sids in tasks
-        ]
-        return _collect_or_cancel(futures)
+        try:
+            futures = [
+                self.executor.submit(
+                    _process_partial_shard,
+                    _PartialShardTask(
+                        transport, sids, strategy, shard, budget, cap, trace_ctx
+                    ),
+                )
+                for shard, sids in tasks
+            ]
+            return _collect_or_cancel(futures)
+        except BrokenExecutor as error:
+            # A worker died (OOM kill, segfault, SIGKILL): the pool is
+            # permanently broken and fails every later submit.  Replace
+            # it so only this query is lost, and surface a typed error.
+            self.executor.shutdown(wait=False)
+            self.executor = self._new_pool()
+            raise WorkerLostError(
+                f"a process-backend worker died mid-query ({error}); "
+                "the pool was rebuilt — retry the query"
+            ) from error
 
     def shutdown(self, wait: bool = True) -> None:
         self.executor.shutdown(wait=wait)
 
 
-def create_backend(
-    config: ServiceConfig, db: EventDatabase
-) -> Optional[ExecutorBackend]:
-    """The scan backend *config* asks for (None = keep scans serial)."""
+def create_backend(config: ServiceConfig, db: EventDatabase) -> ExecutorBackend:
+    """The shard-task backend *config* asks for."""
     if config.executor_backend == "thread":
         return ThreadExecutorBackend(config.max_workers)
     if config.executor_backend == "process":
         return ProcessExecutorBackend(
             db, config.max_workers, start_method=config.process_start_method
         )
-    return None
-
-
-class ParallelCBScanner:
-    """Engine hook (``engine.cb_scanner``) running sharded CB scans.
-
-    Instances are installed by :class:`~repro.service.service.QueryService`
-    and called from :meth:`SOLAPEngine.execute` with the already-formed
-    sequence groups; they may decline small scans by returning None.
-    """
-
-    def __init__(
-        self,
-        backend,
-        shards: int,
-        threshold: int = 512,
-    ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if isinstance(backend, Executor):
-            # Compatibility: a bare (thread) executor still works.
-            backend = ThreadExecutorBackend(shards, executor=backend)
-        self.backend: ExecutorBackend = backend
-        self.shards = shards
-        self.threshold = threshold
-        self.scans_run = 0
-
-    def __call__(
-        self,
-        db: EventDatabase,
-        groups: SequenceGroupSet,
-        spec: CuboidSpec,
-        stats: QueryStats,
-    ) -> Optional[SCuboid]:
-        slices = spec.sliced_groups()
-        work: List[Tuple[SequenceGroup, Sequence]] = list(
-            selected_sequences(groups, slices)
-        )
-        if not work:
-            # Empty selection: decline; the serial path returns the
-            # empty cuboid without scheduling any worker tasks.
-            return None
-        if self.shards < 2 or len(work) < max(self.threshold, 2):
-            return None
-
-        stats.strategy = stats.strategy or "CB"
-        deadline = stats.deadline
-        chunks = split_chunks(work, self.shards)
-        with span(
-            "cb.parallel_scan",
-            backend=self.backend.name,
-            shards=len(chunks),
-            workers=self.backend.workers,
-        ) as scan_span:
-            ctx = current_context()
-            results, payloads = self.backend.run_shards(
-                db, spec, chunks, deadline, trace_ctx=ctx
-            )
-            for payload in payloads:
-                if payload is not None:
-                    graft_payload(scan_span, payload)
-            cells: CellTable = {}
-            # run_shards returns chunk results in submission order, so
-            # the fold below replays the canonical serial scan order.
-            with span("cb.fold") as fold_span:
-                for chunk, assignments_list in zip(chunks, results):
-                    for (group, sequence), assignments in zip(
-                        chunk, assignments_list
-                    ):
-                        stats.add_scan()
-                        if assignments:
-                            fold_assignments(
-                                db, spec, cells, group, sequence, assignments
-                            )
-                fold_span.set("cells_out", len(cells))
-            scan_span.set("sequences_scanned", len(work))
-            scan_span.set("cells_out", len(cells))
-
-        self.scans_run += 1
-        stats.extra["parallel_shards"] = len(chunks)
-        stats.extra["scan_backend"] = self.backend.name
-        stats.extra["scan_workers"] = self.backend.workers
-        # Record the kernel the shards ran.  Worker processes build their
-        # matchers in their own interpreters, so probe compilability here
-        # rather than reading their (invisible) dispatch counters.
-        stats.extra["matcher"] = (
-            "compiled" if can_compile(spec.template, db) else "legacy"
-        )
-        stats.checkpoint()
-        return finalize_cells(spec, cells)
+    return SerialExecutorBackend()

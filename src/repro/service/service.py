@@ -12,9 +12,9 @@ and makes it safe and useful under concurrent load:
   cooperatively inside the CB/II hot loops (see
   :mod:`repro.service.deadline`), surfacing as
   :class:`~repro.errors.QueryTimeoutError`;
-* **parallel scans** — counter-based full scans are sharded across a
-  worker pool (:mod:`repro.service.parallel`), bit-identical to the
-  serial path;
+* **sharded execution** — with ``shards >= 2`` every CB/II query is
+  plan -> partials -> merge (:mod:`repro.shard`), its shard tasks
+  running on a worker pool (:mod:`repro.service.parallel`);
 * **sessions** — iterative explorations keep server-side state
   (:mod:`repro.service.sessions`) so APPEND / P-ROLL-UP / DE-TAIL steps
   reuse the engine's caches; LRU session eviction under a byte budget
@@ -26,7 +26,7 @@ and makes it safe and useful under concurrent load:
 Engine execution is serialised by one lock: the engine's caches are plain
 dicts and CPython gains nothing from concurrent pure-Python cuboid
 builds.  Concurrency buys admission fairness, deadline enforcement and
-shared caching across sessions; the scan pool parallelises *within* a
+shared caching across sessions; the shard pool parallelises *within* a
 query where it can.
 """
 
@@ -59,7 +59,7 @@ from repro.obs.spans import span
 from repro.service.config import ServiceConfig
 from repro.service.deadline import CancelScope, CancelToken, Deadline
 from repro.service.metrics import ServiceMetrics
-from repro.service.parallel import ParallelCBScanner, create_backend
+from repro.service.parallel import ExecutorBackend, create_backend
 from repro.service.sessions import SessionEntry, SessionManager
 
 #: sentinel distinguishing "no timeout argument" from "explicitly None"
@@ -114,32 +114,22 @@ class QueryService:
             slow_query_seconds=self.config.slow_query_seconds
         )
         self._query_ids = itertools.count(1)
-        #: the scan execution backend (None when scans stay serial:
-        #: backend "serial", or fewer than two shards configured)
-        shards = self.config.effective_scan_shards
-        self.backend = (
-            create_backend(self.config, self.engine.db) if shards > 1 else None
-        )
-        if self.backend is not None:
+        #: the shard-task backend; None at fan-out 1 (``shards`` 0 or 1),
+        #: where queries run the serial kernels and no pool exists
+        self.backend: Optional[ExecutorBackend] = None
+        if self.config.shards >= 2:
+            # Scatter-gather execution: consistent-hash the pipeline onto
+            # N logical shards and merge partial S-cuboids (repro.shard).
+            from repro.shard import ScatterGatherCoordinator
+
+            self.backend = create_backend(self.config, self.engine.db)
             # Pay worker start-up (process fork/spawn) now, not inside
             # the first admitted query's deadline; record each worker's
             # readiness time so attach cost is separable from scan cost.
             for seconds in self.backend.warm_up():
                 self.metrics.observe_worker_init(seconds)
-            self.engine.cb_scanner = ParallelCBScanner(
-                self.backend, shards, self.config.parallel_scan_threshold
-            )
-        if self.config.shards > 0:
-            # Scatter-gather execution: consistent-hash the pipeline onto
-            # N logical shards and merge partial S-cuboids (repro.shard).
-            # Shares the scan backend's pool when one exists; runs shard
-            # tasks inline otherwise.
-            from repro.shard import ScatterGatherCoordinator
-
             self.engine.scatter_gather = ScatterGatherCoordinator(
-                self.config.shards,
-                backend=self.backend,
-                registry=self.registry,
+                self.config.shards, self.backend, registry=self.registry
             )
         storage = getattr(self.engine.db, "storage", None)
         if storage is not None:
@@ -344,11 +334,9 @@ class QueryService:
         self.metrics.observe_latency(wall)
         self.metrics.inc("queries_ok")
         self.metrics.count_strategy(stats.strategy)
-        if "parallel_shards" in stats.extra:
-            self.metrics.inc("parallel_scans_total")
         if stats.strategy == "CB":
             # Label which execution backend answered the scan ("serial"
-            # covers declined/below-threshold scans and the serial config).
+            # covers fan-out 1, declined plans and the serial backend).
             self.metrics.count_scan_backend(
                 stats.extra.get("scan_backend", "serial")
             )
@@ -672,11 +660,10 @@ class QueryService:
         )
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and release the scan backend (idempotent)."""
+        """Stop accepting work and release the shard backend (idempotent)."""
         self._closed = True
         if self.metrics_server is not None:
             self.metrics_server.stop()
-        self.engine.cb_scanner = None
         self.engine.scatter_gather = None
         if self.backend is not None:
             self.backend.shutdown(wait=wait)

@@ -8,11 +8,7 @@ holistic aggregates fall back to single-shard execution).  See
 ``docs/sharding.md``.
 """
 
-from repro.shard.coordinator import (
-    ScatterGatherCoordinator,
-    ShardMetrics,
-    run_partials_inline,
-)
+from repro.shard.coordinator import ScatterGatherCoordinator, ShardMetrics
 from repro.shard.executor import ShardPartial, filter_groups, scan_shard_partial
 from repro.shard.merge import (
     MERGEABLE_FUNCS,
@@ -34,7 +30,6 @@ __all__ = [
     "filter_groups",
     "finalize_transport",
     "merge_partial_cells",
-    "run_partials_inline",
     "scan_shard_partial",
     "stable_hash",
     "transport_spec",

@@ -1,9 +1,9 @@
 """Scatter-gather execution of one query across N logical shards.
 
 The :class:`ScatterGatherCoordinator` is installed on the engine as
-``engine.scatter_gather`` (mirroring the ``cb_scanner`` hook) and called
-with the already-formed sequence pipeline and the already-resolved
-strategy.  It:
+``engine.scatter_gather`` — the engine's one optional execution seam —
+and called with the already-formed sequence pipeline and the
+already-resolved strategy.  It:
 
 1. rewrites the spec into transport form (AVG -> AVGPAIR pairs) — a
    holistic aggregate raises :class:`~repro.errors.NotMergeableError`
@@ -12,9 +12,9 @@ strategy.  It:
 2. consistent-hashes every selected sequence's cluster key onto the
    shards (:class:`~repro.shard.planner.ShardPlanner`), preserving the
    canonical scan order within each shard;
-3. scatters shard tasks onto the execution backend (thread or process
-   pool — or runs them inline for the serial backend), each shard
-   running the unchanged CB/II kernels over its slice
+3. scatters shard tasks onto the execution backend (inline, thread
+   pool or process pool), each shard running the unchanged CB/II
+   kernels over its slice
    (:func:`~repro.shard.executor.scan_shard_partial`);
 4. gathers the partial cell tables and merges them with the per-aggregate
    merge algebra (:mod:`repro.shard.merge`), finalising AVGPAIR pairs
@@ -22,7 +22,8 @@ strategy.  It:
 
 COUNT/MIN/MAX merges are exact; SUM and the AVG numerator re-associate
 float additions across shards, so they are exact for integer-valued
-measures and equal up to float associativity otherwise.
+measures and, for float measures, deterministic: partials merge in
+ascending shard order on every backend and every run.
 
 Observability: ``shard.scan`` / ``shard.merge`` spans, ``solap_shard_*``
 metrics (per-shard sequences/rows/cells, skew gauge, merge-time
@@ -33,7 +34,7 @@ EXPLAIN ANALYZE (``shard_fanout``, ``shard_skew``, ``scan_backend``).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.counter_based import selected_sequences
 from repro.core.cuboid import SCuboid
@@ -44,12 +45,8 @@ from repro.errors import NotMergeableError
 from repro.events.database import EventDatabase
 from repro.events.sequence import SequenceGroupSet
 from repro.obs.profile import ResourceProfile, WorkerProfile
-from repro.obs.spans import SpanContext, current_context, graft_payload, span
-from repro.shard.executor import (
-    ShardPartial,
-    filter_groups,
-    run_traced_shard_partial,
-)
+from repro.obs.spans import current_context, graft_payload, span
+from repro.shard.executor import ShardPartial, ShardTask
 from repro.shard.merge import (
     finalize_transport,
     merge_partial_cells,
@@ -122,34 +119,33 @@ class ShardMetrics:
 class ScatterGatherCoordinator:
     """Engine hook (``engine.scatter_gather``) for sharded execution.
 
-    *backend* is an :class:`~repro.service.parallel.ExecutorBackend` (or
-    anything with its ``run_partial_shards`` method); None or the serial
-    backend runs shard tasks inline on the calling thread — same merge
-    path, no pool.  The coordinator may decline (return None) on empty
-    selections, sub-``min_sequences`` inputs and non-mergeable
-    aggregates; the engine then falls through to single-shard execution.
+    *backend* is the :class:`~repro.service.parallel.ExecutorBackend`
+    the shard tasks run on.  The coordinator declines (returns None) on
+    non-mergeable aggregates and on selections below *min_sequences*
+    (empty ones included, so they never schedule a task); the engine
+    then runs the serial kernel.  Fan-out 1 is that kernel too: a
+    coordinator needs at least two shards.
     """
 
     def __init__(
         self,
         shards: int,
-        backend=None,
+        backend,
         min_sequences: int = 2,
         registry=None,
         planner: Optional[ShardPlanner] = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+        if shards < 2:
+            raise ValueError(
+                "shards must be >= 2 (fan-out 1 is the serial kernel: "
+                "install no coordinator)"
+            )
         self.shards = shards
         self.backend = backend
         self.min_sequences = max(min_sequences, 1)
         self.planner = planner or ShardPlanner(shards)
         self.metrics = ShardMetrics(registry)
         self.scans_run = 0
-
-    @property
-    def backend_name(self) -> str:
-        return getattr(self.backend, "name", None) or "serial"
 
     def __call__(
         self,
@@ -176,18 +172,18 @@ class ScatterGatherCoordinator:
             (sequence.cluster_key, sequence.sid) for sequence in work
         )
         skew = self.planner.skew(assignment)
-        tasks: List[Tuple[int, Tuple[int, ...]]] = [
+        tasks: List[ShardTask] = [
             (shard, tuple(sids)) for shard, sids in sorted(assignment.items())
         ]
         deadline = stats.deadline
         with span(
             "shard.scan",
-            backend=self.backend_name,
+            backend=self.backend.name,
             shards=len(tasks),
             ring_shards=self.shards,
         ) as scan_span:
             trace_ctx = current_context()
-            partials = self._scatter(
+            partials = self.backend.run_partial_shards(
                 db, groups, transport, tasks, strategy, deadline, trace_ctx
             )
             for partial in partials:
@@ -214,10 +210,10 @@ class ScatterGatherCoordinator:
         self.metrics.observe_merge(merge_seconds)
         stats.extra["shard_fanout"] = len(tasks)
         stats.extra["shard_skew"] = round(skew, 3)
-        stats.extra["scan_backend"] = self.backend_name
+        stats.extra["scan_backend"] = self.backend.name
         if any(partial.profile is not None for partial in partials):
             profile = build_resource_profile(
-                db, partials, self.backend_name, skew, merge_seconds
+                db, partials, self.backend.name, skew, merge_seconds
             )
             stats.extra["resource_profile"] = profile.to_dict()
         if strategy == "cb":
@@ -225,26 +221,6 @@ class ScatterGatherCoordinator:
                 "compiled" if can_compile(spec.template, db) else "legacy"
             )
         return SCuboid(spec, cells)
-
-    def _scatter(
-        self,
-        db: EventDatabase,
-        groups: SequenceGroupSet,
-        transport: CuboidSpec,
-        tasks: List[Tuple[int, Tuple[int, ...]]],
-        strategy: str,
-        deadline,
-        trace_ctx: Optional[SpanContext] = None,
-    ) -> List[ShardPartial]:
-        backend = self.backend
-        if backend is not None and hasattr(backend, "run_partial_shards"):
-            return backend.run_partial_shards(
-                db, groups, transport, tasks, strategy, deadline,
-                trace_ctx=trace_ctx,
-            )
-        return run_partials_inline(
-            db, groups, transport, tasks, strategy, deadline, trace_ctx
-        )
 
 
 def build_resource_profile(
@@ -277,29 +253,3 @@ def build_resource_profile(
         merge_seconds=merge_seconds,
         workers=workers,
     )
-
-
-def run_partials_inline(
-    db: EventDatabase,
-    groups: SequenceGroupSet,
-    transport: CuboidSpec,
-    tasks: List[Tuple[int, Tuple[int, ...]]],
-    strategy: str,
-    deadline,
-    trace_ctx: Optional[SpanContext] = None,
-) -> List[ShardPartial]:
-    """Serial scatter: run every shard task on the calling thread.
-
-    Inline shards still run under a :class:`RemoteSpanCollector` when
-    traced, so every backend produces the same origin-marked worker
-    subtrees — one rendering path downstream.
-    """
-    partials: List[ShardPartial] = []
-    for shard, sids in tasks:
-        partials.append(
-            run_traced_shard_partial(
-                db, transport, strategy, shard, deadline, trace_ctx, "serial",
-                lambda sids=sids: filter_groups(groups, frozenset(sids)),
-            )
-        )
-    return partials

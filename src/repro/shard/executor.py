@@ -39,6 +39,10 @@ from repro.obs.spans import RemoteSpanCollector, SpanContext, span
 from repro.shard.merge import Cells
 
 
+#: one shard task of a plan: (shard number, its sequence ids in scan order)
+ShardTask = Tuple[int, Tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ShardPartial:
     """One shard's contribution: transport cells plus work accounting."""

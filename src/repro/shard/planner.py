@@ -70,8 +70,7 @@ class ShardPlanner:
 
         Input order is preserved within each shard (the coordinator feeds
         the canonical scan order, so shard-local scans replay it).  Empty
-        shards are simply absent — no task is ever scheduled for them,
-        mirroring :func:`repro.service.parallel.split_chunks`.
+        shards are simply absent — no task is ever scheduled for them.
         """
         assignment: Dict[int, List[object]] = {}
         for key, item in keyed_items:

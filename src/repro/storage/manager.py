@@ -670,6 +670,13 @@ class StorageManager:
             for segment in self._segments:
                 segment.close()
             self._invalidate()
+        # A closed manager must not be handed out again by attach_store:
+        # its mmaps are released and the next scan would fault.
+        key = os.path.realpath(str(self.root))
+        with _ATTACH_LOCK:
+            entry = _ATTACH_MEMO.get(key)
+            if entry is not None and entry[1] is self:
+                del _ATTACH_MEMO[key]
 
     def __repr__(self) -> str:
         return (

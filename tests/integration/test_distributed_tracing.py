@@ -26,7 +26,6 @@ def run_traced(backend, shards, **config_kwargs):
         max_workers=2,
         shards=shards,
         executor_backend=backend,
-        parallel_scan_threshold=100000,
         **config_kwargs,
     )
     with QueryService(make_figure8_db(), config) as service:
@@ -140,46 +139,12 @@ class TestScatterGatherTracing:
             max_workers=2,
             shards=2,
             executor_backend="thread",
-            parallel_scan_threshold=100000,
             flight_recorder_capacity=0,  # no sampling promotion
         )
         with QueryService(make_figure8_db(), config) as service:
             __, stats = service.execute(figure8_spec(("X", "Y")), "cb")
         assert stats.trace is None
         assert "resource_profile" not in stats.extra
-
-
-class TestParallelScanTracing:
-    def test_chunk_worker_spans_grafted(self):
-        config = ServiceConfig(
-            max_workers=2,
-            executor_backend="thread",
-            parallel_scan_threshold=2,
-        )
-        with QueryService(make_figure8_db(), config) as service:
-            __, stats = service.execute(
-                figure8_spec(("X", "Y")), "cb", analyze=True
-            )
-        assert stats.extra.get("parallel_shards", 0) >= 2
-        scan = stats.trace.find("cb.parallel_scan")
-        assert scan is not None
-        grafted = remote_roots(scan)
-        assert len(grafted) == stats.extra["parallel_shards"]
-        for node in grafted:
-            assert node.find("worker.match") is not None
-        assert scan.find("cb.fold") is not None
-
-    def test_parallel_scan_bit_identical_under_tracing(self):
-        spec = figure8_spec(("X", "Y"))
-        baseline, __ = SOLAPEngine(make_figure8_db()).execute(spec, "cb")
-        config = ServiceConfig(
-            max_workers=2,
-            executor_backend="thread",
-            parallel_scan_threshold=2,
-        )
-        with QueryService(make_figure8_db(), config) as service:
-            traced, __stats = service.execute(spec, "cb", analyze=True)
-        assert traced.cells == baseline.cells
 
 
 class TestFlightRecorderService:
@@ -206,7 +171,6 @@ class TestFlightRecorderService:
             max_workers=2,
             shards=2,
             executor_backend="thread",
-            parallel_scan_threshold=100000,
             flight_recorder_capacity=8,
         )
         with QueryService(make_figure8_db(), config) as service:

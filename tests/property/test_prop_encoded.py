@@ -116,11 +116,7 @@ def test_encoded_scan_backends_equal_legacy(backend, level):
     spec = spec_for(template)
     svc = QueryService(
         make_db(sequences),
-        ServiceConfig(
-            max_workers=2,
-            executor_backend=backend,
-            parallel_scan_threshold=1,
-        ),
+        ServiceConfig(max_workers=2, shards=2, executor_backend=backend),
     )
     try:
         cuboid, __ = svc.execute(spec, "cb")

@@ -152,11 +152,7 @@ def test_segment_scan_backends_equal_memory(backend, level, tmp_path):
     spec = spec_for(template)
     db = make_db(sequences)
     manager = _write_store(db, tmp_path / "store")
-    config = ServiceConfig(
-        max_workers=2,
-        executor_backend=backend,
-        parallel_scan_threshold=1,
-    )
+    config = ServiceConfig(max_workers=2, shards=2, executor_backend=backend)
     if backend == "process":
         method = os.environ.get("SOLAP_STORAGE_START_METHOD")
         if method:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import operator
+import os
+import signal
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -18,23 +20,22 @@ from repro import (
     SOLAPEngine,
     build_sequence_groups,
 )
-from repro.core.stats import QueryStats
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
     ServiceOverloadedError,
     SessionNotFoundError,
+    WorkerLostError,
 )
 from repro.service.deadline import Deadline
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.parallel import (
-    ParallelCBScanner,
     ProcessExecutorBackend,
     SerialExecutorBackend,
     ThreadExecutorBackend,
     _collect_or_cancel,
-    split_chunks,
 )
+from repro.shard import ScatterGatherCoordinator
 from tests.conftest import figure8_spec, make_figure8_db
 
 
@@ -331,30 +332,6 @@ class TestMetrics:
         assert set(snap) >= {"counters", "latency", "engine", "sessions"}
 
 
-class TestSplitChunks:
-    def test_even_split(self):
-        chunks = split_chunks(list(range(10)), 2)
-        assert chunks == [list(range(5)), list(range(5, 10))]
-
-    def test_remainder_spread(self):
-        chunks = split_chunks(list(range(7)), 3)
-        assert [len(c) for c in chunks] == [3, 2, 2]
-        assert sum(chunks, []) == list(range(7))
-
-    def test_more_chunks_than_items(self):
-        chunks = split_chunks([1, 2], 8)
-        assert chunks == [[1], [2]]
-
-    def test_empty(self):
-        # An empty selection must schedule zero shard tasks, not one
-        # useless empty-shard task.
-        assert split_chunks([], 4) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            split_chunks([1], 0)
-
-
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -365,7 +342,7 @@ class TestConfig:
             {"session_capacity": 0},
             {"default_timeout_seconds": 0},
             {"index_byte_budget": -1},
-            {"scan_shards": -1},
+            {"shards": -1},
             {"session_byte_budget": -1},
             {"executor_backend": "bogus"},
             {"process_start_method": "bogus"},
@@ -375,13 +352,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
 
-    def test_effective_shards_defaults_to_workers(self):
-        assert ServiceConfig(max_workers=3).effective_scan_shards == 3
-        assert ServiceConfig(max_workers=3, scan_shards=2).effective_scan_shards == 2
+    def test_field_count(self):
+        # every field is a configuration axis tests and benches must cover
+        assert len(ServiceConfig.__dataclass_fields__) == 16
 
     def test_service_rejects_bad_target(self):
         with pytest.raises(ServiceError):
             QueryService("not a db")
+
+
+class _AlmostSpent:
+    """A deadline with budget left at submission that dies in the worker."""
+
+    def remaining(self):
+        return 1e-6
+
+    def check(self):
+        pass
 
 
 class TestExecutorBackends:
@@ -389,14 +376,21 @@ class TestExecutorBackends:
         cuboid, __ = SOLAPEngine(db).execute(spec, "cb")
         return cuboid.cells
 
-    def _scan(self, backend, db, spec):
-        groups = build_sequence_groups(
+    def _groups(self, db, spec):
+        return build_sequence_groups(
             db, spec.where, spec.cluster_by, spec.sequence_by, spec.group_by
         )
-        scanner = ParallelCBScanner(backend, shards=2, threshold=0)
-        stats = QueryStats()
-        cuboid = scanner(db, groups, spec, stats)
-        return cuboid, stats
+
+    def _sharded(self, backend, db, spec, shards=2):
+        engine = SOLAPEngine(db, use_repository=False)
+        engine.scatter_gather = ScatterGatherCoordinator(
+            shards, backend, min_sequences=1
+        )
+        return engine.execute(spec, "cb")
+
+    def _tasks(self, groups):
+        sids = sorted(sequence.sid for sequence in groups.all_sequences())
+        return [(0, tuple(sids[::2])), (1, tuple(sids[1::2]))]
 
     def test_collect_or_cancel_cancels_pending_siblings(self):
         gate = threading.Event()
@@ -422,18 +416,47 @@ class TestExecutorBackends:
                 _collect_or_cancel(futures)
             assert all(f.done() for f in futures)
 
-    def test_scanner_declines_empty_selection(self):
+    def test_failing_shard_leaves_thread_pool_quiescent(self):
+        # A shard raising must cancel and drain its siblings, so the
+        # one-worker pool is free to answer the next query normally.
+        db = make_figure8_db()
+        spec = figure8_spec(("X", "Y"))
+        backend = ThreadExecutorBackend(1)
+
+        class Expired:
+            def check(self):
+                raise QueryTimeoutError()
+
+        try:
+            groups = self._groups(db, spec)
+            with pytest.raises(QueryTimeoutError):
+                backend.run_partial_shards(
+                    db, groups, spec, self._tasks(groups), "cb", Expired()
+                )
+            cuboid, __ = self._sharded(backend, db, spec)
+            assert cuboid.cells == self._serial_cells(db, spec)
+        finally:
+            backend.shutdown()
+
+    def test_empty_selection_schedules_no_task(self):
         db = make_figure8_db()
         spec = figure8_spec(
             ("X", "Y"),
             where=Comparison(EventField("card"), "=", Literal(-1)),
         )
-        groups = build_sequence_groups(
-            db, spec.where, spec.cluster_by, spec.sequence_by, spec.group_by
-        )
-        backend = SerialExecutorBackend()
-        scanner = ParallelCBScanner(backend, shards=4, threshold=0)
-        assert scanner(db, groups, spec, QueryStats()) is None
+
+        class Untouchable(SerialExecutorBackend):
+            def run_partial_shards(self, *args, **kwargs):
+                raise AssertionError("an empty selection scheduled a task")
+
+        cuboid, stats = self._sharded(Untouchable(), db, spec, shards=4)
+        assert len(cuboid) == 0
+        assert "shard_fanout" not in stats.extra
+
+    def test_coordinator_needs_two_shards(self):
+        for shards in (0, 1):
+            with pytest.raises(ValueError):
+                ScatterGatherCoordinator(shards, SerialExecutorBackend())
 
     def test_thread_and_process_backends_match_serial(self):
         db = make_figure8_db()
@@ -446,7 +469,7 @@ class TestExecutorBackends:
         ]
         try:
             for backend in backends:
-                cuboid, stats = self._scan(backend, db, spec)
+                cuboid, stats = self._sharded(backend, db, spec)
                 assert cuboid.cells == expected, backend.name
                 assert stats.extra["scan_backend"] == backend.name
         finally:
@@ -459,7 +482,7 @@ class TestExecutorBackends:
         backend = ProcessExecutorBackend(db, 2, start_method="spawn")
         try:
             backend.warm_up()
-            cuboid, __ = self._scan(backend, db, spec)
+            cuboid, __ = self._sharded(backend, db, spec)
             assert cuboid.cells == self._serial_cells(db, spec)
         finally:
             backend.shutdown()
@@ -469,17 +492,48 @@ class TestExecutorBackends:
         backend = ProcessExecutorBackend(db, 1)
         try:
             with pytest.raises(ServiceError):
-                backend.run_shards(
-                    make_figure8_db(), figure8_spec(("X", "Y")), [], None
+                backend.run_partial_shards(
+                    make_figure8_db(), None, figure8_spec(("X", "Y")),
+                    [], "cb", None,
+                )
+        finally:
+            backend.shutdown()
+
+    def test_worker_side_deadline_expiry_is_a_timeout(self):
+        # Budgets cross the process boundary as floats; a budget that
+        # runs out inside the worker must come back as the typed error.
+        db = make_figure8_db()
+        spec = figure8_spec(("X", "Y"))
+        backend = ProcessExecutorBackend(db, 1)
+        try:
+            groups = self._groups(db, spec)
+            with pytest.raises(QueryTimeoutError):
+                backend.run_partial_shards(
+                    db, groups, spec, self._tasks(groups), "cb", _AlmostSpent()
+                )
+        finally:
+            backend.shutdown()
+
+    def test_spent_deadline_times_out_before_submission(self):
+        # A non-positive budget cannot be rebuilt into a worker Deadline
+        # (ValueError): the coordinator side must raise the typed error.
+        db = make_figure8_db()
+        spec = figure8_spec(("X", "Y"))
+        backend = ProcessExecutorBackend(db, 1)
+        deadline = Deadline(1e-9)
+        time.sleep(0.001)
+        try:
+            groups = self._groups(db, spec)
+            with pytest.raises(QueryTimeoutError):
+                backend.run_partial_shards(
+                    db, groups, spec, self._tasks(groups), "cb", deadline
                 )
         finally:
             backend.shutdown()
 
     def test_service_wires_process_backend(self):
         config = ServiceConfig(
-            max_workers=2,
-            executor_backend="process",
-            parallel_scan_threshold=1,
+            max_workers=2, shards=2, executor_backend="process"
         )
         svc = QueryService(make_figure8_db(), config)
         try:
@@ -493,17 +547,84 @@ class TestExecutorBackends:
         finally:
             svc.close()
 
-    def test_serial_backend_config_installs_no_scanner(self):
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_fan_out_one_is_the_bare_kernel(self, shards):
+        # shards 0 and 1 install no seam and create no pool, whatever
+        # backend and worker count are configured.
         svc = QueryService(
             make_figure8_db(),
-            ServiceConfig(max_workers=2, executor_backend="serial"),
+            ServiceConfig(
+                max_workers=4, shards=shards, executor_backend="process"
+            ),
         )
         try:
             assert svc.backend is None
-            assert svc.engine.cb_scanner is None
+            assert svc.engine.scatter_gather is None
             spec = figure8_spec(("X", "Y"))
             __, stats = svc.execute(spec, "cb")
             assert "scan_backend" not in stats.extra
+            assert "shard_fanout" not in stats.extra
             assert svc.metrics.scan_backend_counts() == {"serial": 1}
+        finally:
+            svc.close()
+
+
+class _DiesInWorker:
+    """Stands in for a spec: kills the worker process that touches it."""
+
+    def pipeline_key(self):
+        os._exit(1)
+
+
+class TestWorkerLoss:
+    """ROADMAP 4c: a dead process worker yields a typed error, frees the
+    admission slot, and the retried query answers bit-identically."""
+
+    def test_worker_dying_mid_task_rebuilds_the_pool(self):
+        db = make_figure8_db()
+        spec = figure8_spec(("X", "Y"))
+        groups = build_sequence_groups(
+            db, spec.where, spec.cluster_by, spec.sequence_by, spec.group_by
+        )
+        tasks = [(0, tuple(s.sid for s in groups.all_sequences()))]
+        backend = ProcessExecutorBackend(db, 1)
+        try:
+            with pytest.raises(WorkerLostError):
+                backend.run_partial_shards(
+                    db, groups, _DiesInWorker(), tasks, "cb", None
+                )
+            (partial,) = backend.run_partial_shards(
+                db, groups, spec, tasks, "cb", None
+            )
+            expected, __ = SOLAPEngine(db).execute(spec, "cb")
+            assert partial.cells == expected.cells
+        finally:
+            backend.shutdown()
+
+    def test_killed_workers_fail_one_query_not_the_service(self):
+        db = make_figure8_db()
+        spec = figure8_spec(("X", "Y"))
+        expected, __ = SOLAPEngine(db).execute(spec, "cb")
+        svc = QueryService(
+            SOLAPEngine(db, use_repository=False),
+            ServiceConfig(
+                max_workers=2,
+                shards=2,
+                executor_backend="process",
+                max_concurrent=1,
+            ),
+        )
+        try:
+            for pid in list(svc.backend.executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            with pytest.raises(WorkerLostError):
+                svc.execute(spec, "cb")
+            assert svc.metrics["queries_failed"] == 1
+            assert svc.inflight == 0
+            assert svc._slots.acquire(blocking=False)  # slot was released
+            svc._slots.release()
+            cuboid, stats = svc.execute(spec, "cb")
+            assert cuboid.cells == expected.cells
+            assert stats.extra["scan_backend"] == "process"
         finally:
             svc.close()

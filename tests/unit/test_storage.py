@@ -313,11 +313,28 @@ class TestIntegration:
         assert stats.extra.get("matcher") == "compiled"
         assert segment.to_dict() == memory.to_dict()
 
+    def test_attach_store_after_close_reopens(self, store, tmp_path):
+        # close() must drop the attach memo: a memoised manager with
+        # released mmaps fails the next scan ("operation forbidden on
+        # released memoryview object").
+        db, __ = store
+        spec = _spec()
+        expected, __ = SOLAPEngine(db).execute(spec, "cb")
+        first = attach_store(tmp_path / "store")
+        first.storage.close()
+        second = attach_store(tmp_path / "store")
+        try:
+            assert second.storage is not first.storage
+            cuboid, __ = SOLAPEngine(second).execute(spec, "cb")
+            assert cuboid.to_dict() == expected.to_dict()
+        finally:
+            second.storage.close()
+
     def test_worker_init_histogram_populated(self, store):
         __, manager = store
         svc = QueryService(
             manager.attach(),
-            ServiceConfig(max_workers=2, executor_backend="thread"),
+            ServiceConfig(max_workers=2, shards=2, executor_backend="thread"),
         )
         try:
             snapshot = svc.metrics.snapshot()
