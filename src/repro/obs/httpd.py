@@ -32,10 +32,11 @@ or let the service own it::
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -46,6 +47,64 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: back on that socket, so handlers drop the response instead of crashing
 #: the handler thread (and never try to write a 500 to the dead socket)
 CLIENT_DISCONNECT_ERRORS = (BrokenPipeError, ConnectionResetError)
+
+JSON_CONTENT_TYPE = "application/json"
+
+
+def _json_bytes(doc: object) -> bytes:
+    return json.dumps(doc, default=repr).encode("utf-8")
+
+
+class _SendOnFlush(io.RawIOBase):
+    """A handler ``wfile`` that hands the kernel one ``sendall`` per flush.
+
+    The stdlib's unbuffered writer sends headers and body separately; on
+    a keep-alive connection the second small segment then waits (Nagle)
+    for the client's delayed ACK of the first, about 40 ms a request.
+    An ``io.BufferedWriter`` would still split a response larger than
+    its buffer, so this keeps whatever was written until ``flush``.
+    """
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._parts: List[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self._parts.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        if self._parts:
+            # emptied first: a failed send drops the response, so the
+            # flush in close() cannot raise a second time
+            data, self._parts = b"".join(self._parts), []
+            self._sock.sendall(data)
+
+
+class SingleSendHandler(BaseHTTPRequestHandler):
+    """Request handler base of both servers: one send per flushed response.
+
+    ``TCP_NODELAY`` is set on the accepted socket as well, because the
+    frames of a chunked stream are smaller than the loopback MSS and
+    would otherwise each wait for the ACK of the one before.
+    """
+
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _SendOnFlush(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        proceed = super().handle_expect_100()
+        self.wfile.flush()  # the client holds its body back until this arrives
+        return proceed
+
+    def log_message(self, *args) -> None:
+        pass  # per-request lines on stderr; the owners log structured events
 
 
 class MetricsServer:
@@ -77,12 +136,9 @@ class MetricsServer:
             return self
         owner = self
 
-        class Handler(BaseHTTPRequestHandler):
+        class Handler(SingleSendHandler):
             def do_GET(self) -> None:  # noqa: N802 - stdlib naming
                 owner._handle(self)
-
-            def log_message(self, *args) -> None:
-                pass  # scrapes every few seconds would spam stderr
 
         self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
@@ -121,98 +177,67 @@ class MetricsServer:
         self.stop()
 
     # ------------------------------------------------------------------
-    def _handle(self, request: BaseHTTPRequestHandler) -> None:
-        path = request.path.split("?", 1)[0]
+    def _handle(self, request: BaseHTTPRequestHandler) -> int:
+        """Answer one telemetry GET; returns the status actually sent."""
         try:
-            if path == "/metrics":
-                body = self.registry.render_prometheus().encode("utf-8")
-                self._respond(request, 200, PROMETHEUS_CONTENT_TYPE, body)
-            elif path == "/healthz":
-                healthy = (
-                    self.health_callback() if self.health_callback else True
-                )
-                status = 200 if healthy else 503
-                body = json.dumps(
-                    {"status": "ok" if healthy else "unhealthy"}
-                ).encode("utf-8")
-                self._respond(request, status, "application/json", body)
-            elif path == "/varz":
-                doc = (
-                    self.varz_callback()
-                    if self.varz_callback
-                    else self.registry.snapshot()
-                )
-                body = json.dumps(doc, default=repr).encode("utf-8")
-                self._respond(request, 200, "application/json", body)
-            elif path == "/debug/traces" or path.startswith("/debug/traces/"):
-                self._handle_traces(request, path)
-            else:
-                body = json.dumps(
-                    {"error": f"unknown path {path!r}",
-                     "paths": ["/metrics", "/healthz", "/varz",
-                               "/debug/traces", "/debug/traces/<id>"]}
-                ).encode("utf-8")
-                self._respond(request, 404, "application/json", body)
-        except CLIENT_DISCONNECT_ERRORS:
-            # The client went away mid-write; there is no socket left to
-            # answer on, so drop the response silently.
-            return
+            status, content_type, body = self._answer(request.path)
         except Exception as error:  # noqa: BLE001 - keep the server alive
-            body = json.dumps(
-                {"error": f"{type(error).__name__}: {error}"}
-            ).encode("utf-8")
-            self._respond(request, 500, "application/json", body)
+            status, content_type = 500, JSON_CONTENT_TYPE
+            body = _json_bytes({"error": f"{type(error).__name__}: {error}"})
+        return self._respond(request, status, content_type, body)
 
-    def _handle_traces(
-        self, request: BaseHTTPRequestHandler, path: str
-    ) -> None:
-        """Serve the flight-recorder routes (summaries or one entry)."""
+    def _answer(self, raw_path: str) -> Tuple[int, str, bytes]:
+        """(status, content type, body) for one request path."""
+        path, __, query = raw_path.partition("?")
+        if path == "/metrics":
+            body = self.registry.render_prometheus().encode("utf-8")
+            return 200, PROMETHEUS_CONTENT_TYPE, body
+        if path == "/healthz":
+            healthy = self.health_callback() if self.health_callback else True
+            status = 200 if healthy else 503
+            doc: object = {"status": "ok" if healthy else "unhealthy"}
+        elif path == "/varz":
+            status = 200
+            doc = (
+                self.varz_callback()
+                if self.varz_callback
+                else self.registry.snapshot()
+            )
+        elif path == "/debug/traces" or path.startswith("/debug/traces/"):
+            status, doc = self._traces(path, query)
+        else:
+            status = 404
+            doc = {
+                "error": f"unknown path {path!r}",
+                "paths": ["/metrics", "/healthz", "/varz",
+                          "/debug/traces", "/debug/traces/<id>"],
+            }
+        return status, JSON_CONTENT_TYPE, _json_bytes(doc)
+
+    def _traces(self, path: str, query: str) -> Tuple[int, object]:
+        """The flight-recorder routes (summaries or one entry)."""
         if self.recorder is None:
-            body = json.dumps(
-                {"error": "flight recorder not enabled"}
-            ).encode("utf-8")
-            self._respond(request, 404, "application/json", body)
-            return
+            return 404, {"error": "flight recorder not enabled"}
         if path == "/debug/traces":
-            query = request.path.split("?", 1)
             limit = 20
-            if len(query) == 2:
-                for pair in query[1].split("&"):
-                    key, __, value = pair.partition("=")
-                    if key == "limit":
-                        try:
-                            limit = int(value)
-                        except ValueError:
-                            body = json.dumps(
-                                {"error": f"bad limit {value!r}"}
-                            ).encode("utf-8")
-                            self._respond(
-                                request, 400, "application/json", body
-                            )
-                            return
+            for pair in query.split("&"):
+                key, __, value = pair.partition("=")
+                if key == "limit":
+                    try:
+                        limit = int(value)
+                    except ValueError:
+                        return 400, {"error": f"bad limit {value!r}"}
             if limit < 1:
-                # limit=0 / negative limits used to be silently clamped to
-                # 1; they are requests the caller never meant, so reject
-                # them like any other malformed limit.
-                body = json.dumps(
-                    {"error": f"bad limit {limit!r}: must be >= 1"}
-                ).encode("utf-8")
-                self._respond(request, 400, "application/json", body)
-                return
-            doc = {"traces": self.recorder.recent(limit=limit)}
-            body = json.dumps(doc, default=repr).encode("utf-8")
-            self._respond(request, 200, "application/json", body)
-            return
+                # limit=0 / negative limits are requests the caller never
+                # meant: rejected like any other malformed limit, never
+                # silently clamped.
+                return 400, {"error": f"bad limit {limit!r}: must be >= 1"}
+            return 200, {"traces": self.recorder.recent(limit=limit)}
         entry_id = path[len("/debug/traces/"):]
         entry = self.recorder.get(entry_id) if entry_id else None
         if entry is None:
-            body = json.dumps(
-                {"error": f"no recorded trace {entry_id!r}"}
-            ).encode("utf-8")
-            self._respond(request, 404, "application/json", body)
-            return
-        body = json.dumps(entry, default=repr).encode("utf-8")
-        self._respond(request, 200, "application/json", body)
+            return 404, {"error": f"no recorded trace {entry_id!r}"}
+        return 200, entry
 
     @staticmethod
     def _respond(
@@ -220,18 +245,26 @@ class MetricsServer:
         status: int,
         content_type: str,
         body: bytes,
-    ) -> None:
+    ) -> int:
+        """Write one whole response and flush it once; returns the status sent.
+
+        The single response writer of both HTTP servers.  On a
+        :class:`SingleSendHandler` status line, headers and body reach the
+        kernel in one ``sendall``.  A client that hung up (the error
+        surfaces at flush time on a buffered ``wfile``) gets nothing —
+        retrying on the dead socket would only re-raise and kill the
+        handler thread — and the status reported is 0.
+        """
         try:
             request.send_response(status)
             request.send_header("Content-Type", content_type)
             request.send_header("Content-Length", str(len(body)))
             request.end_headers()
             request.wfile.write(body)
+            request.wfile.flush()
         except CLIENT_DISCONNECT_ERRORS:
-            # The client closed the connection before (or while) the
-            # response was written; drop it — retrying on the dead socket
-            # would only re-raise and kill the handler thread.
-            pass
+            return 0
+        return status
 
     def __repr__(self) -> str:
         state = "serving" if self.running else "stopped"

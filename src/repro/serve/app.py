@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
@@ -48,7 +49,12 @@ from repro.errors import (
     SOLAPError,
     SpecError,
 )
-from repro.obs.httpd import CLIENT_DISCONNECT_ERRORS, MetricsServer
+from repro.obs.httpd import (
+    CLIENT_DISCONNECT_ERRORS,
+    JSON_CONTENT_TYPE,
+    MetricsServer,
+    SingleSendHandler,
+)
 from repro.obs.spans import span
 from repro.ql import format_spec, parse_query
 from repro.serve import codecs
@@ -121,6 +127,16 @@ class SolapServer:
             "solap_http_stream_frames_total",
             "Progressive-result frames written to streaming clients",
         ).labels()
+        self._page_encodes = registry.counter(
+            "solap_http_page_encodes_total",
+            "Result pages served from an already encoded cuboid (hit) or "
+            "after encoding it (miss)",
+            labels=("result",),
+        )
+        #: encode-once pagination: the wire form of every cuboid a page was
+        #: served from, kept exactly as long as the cuboid itself (held by
+        #: the repository, a job or a session) — no size knob, no TTL
+        self._encoded = weakref.WeakKeyDictionary()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -133,7 +149,7 @@ class SolapServer:
             return self
         owner = self
 
-        class Handler(BaseHTTPRequestHandler):
+        class Handler(SingleSendHandler):
             # HTTP/1.1 enables chunked transfer encoding (streams) and
             # connection keep-alive for polling clients.
             protocol_version = "HTTP/1.1"
@@ -146,9 +162,6 @@ class SolapServer:
 
             def do_DELETE(self) -> None:  # noqa: N802
                 owner._dispatch(self, "DELETE")
-
-            def log_message(self, *args) -> None:
-                pass  # the structured http_request log event covers this
 
         self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
@@ -251,11 +264,7 @@ class SolapServer:
                 return self._send_error(
                     request, 405, f"{method} not allowed on {path}"
                 )
-            # MetricsServer._handle answers on the request directly; the
-            # status code it chose is not observable from here, so the
-            # label records the route as answered.
-            self._telemetry._handle(request)
-            return 200
+            return self._telemetry._handle(request)
         if path == "/v1/stats":
             if method != "GET":
                 return self._send_error(request, 405, "use GET /v1/stats")
@@ -395,12 +404,30 @@ class SolapServer:
         self, request: BaseHTTPRequestHandler, job_id: str, params: dict
     ) -> int:
         job = self.jobs.get(job_id)
+        # validated on every poll: a bad window is a 400 whether or not
+        # the job has finished yet
+        offset, limit = codecs.parse_page_params(params)
         doc = job.describe()
-        if job.status == "done" and job.result is not None:
-            offset, limit = codecs.parse_page_params(params)
-            doc.update(codecs.page_cells(job.result, offset, limit))
-            doc["stats"] = codecs.encode_stats(job.stats)
-        return self._send_json(request, 200, doc)
+        if job.status != "done" or job.result is None:
+            return self._send_json(request, 200, doc)
+        body = self._encoded_cuboid(job.result).page_body(
+            doc, offset, limit, {"stats": codecs.encode_stats(job.stats)}
+        )
+        return MetricsServer._respond(request, 200, JSON_CONTENT_TYPE, body)
+
+    def _encoded_cuboid(self, cuboid) -> codecs.EncodedCuboid:
+        """The cuboid's wire form, encoded on first use only.
+
+        Two threads racing the first page may both encode; ``setdefault``
+        publishes one complete object and both serve from it.
+        """
+        encoded = self._encoded.get(cuboid)
+        self._page_encodes.labels("miss" if encoded is None else "hit").inc()
+        if encoded is None:
+            encoded = self._encoded.setdefault(
+                cuboid, codecs.EncodedCuboid(cuboid)
+            )
+        return encoded
 
     def _cancel_query(
         self, request: BaseHTTPRequestHandler, job_id: str
@@ -440,6 +467,8 @@ class SolapServer:
             request.send_header("Transfer-Encoding", "chunked")
             request.send_header("Cache-Control", "no-cache")
             request.end_headers()
+            # every flush below is one send; the headers ride with the
+            # first frame (or with the terminator of an empty stream)
             if first is not None:
                 self._write_chunk(request, codecs.encode_estimate(first))
                 for estimate in stream:
@@ -459,9 +488,7 @@ class SolapServer:
     def _write_chunk(self, request: BaseHTTPRequestHandler, doc: dict) -> None:
         """One chunked-encoding frame: a single JSON line."""
         line = codecs.dumps(doc) + b"\n"
-        request.wfile.write(f"{len(line):x}\r\n".encode("ascii"))
-        request.wfile.write(line)
-        request.wfile.write(b"\r\n")
+        request.wfile.write(b"%x\r\n%b\r\n" % (len(line), line))
         request.wfile.flush()
         self._frames.inc()
 
@@ -500,18 +527,9 @@ class SolapServer:
     def _send_json(
         self, request: BaseHTTPRequestHandler, status: int, doc: object
     ) -> int:
-        body = codecs.dumps(doc)
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", "application/json")
-            request.send_header("Content-Length", str(len(body)))
-            request.end_headers()
-            request.wfile.write(body)
-        except CLIENT_DISCONNECT_ERRORS:
-            # Same contract as MetricsServer._respond: nothing left to
-            # answer on, so the response is dropped, not retried.
-            return 0
-        return status
+        return MetricsServer._respond(
+            request, status, JSON_CONTENT_TYPE, codecs.dumps(doc)
+        )
 
     def _send_error(
         self,

@@ -255,6 +255,8 @@ class TestStreaming:
         accounted as a cancel — without crashing the handler thread."""
         service, server = stack
         before = service.metrics["cancelled_total"]
+        dropped = server._requests.labels("/v1/stream", "POST", "0")
+        dropped_before = dropped.value
         body = json.dumps({"ql": ql, "chunk_size": 1}).encode("utf-8")
         with service._engine_lock:
             # The stream admits, then blocks on the engine lock held
@@ -291,6 +293,12 @@ class TestStreaming:
         ):
             time.sleep(0.01)
         assert service.metrics["cancelled_total"] > before
+        # The wfile is buffered, so the dead socket surfaces at the first
+        # frame's flush: still swallowed, still accounted as status 0 —
+        # never as a 200 or a 500 written to the dead socket.
+        while dropped.value == dropped_before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert dropped.value == dropped_before + 1
         assert service.inflight == 0
         # The server survived and still answers.
         status, __doc = _get(server, "/healthz")

@@ -178,9 +178,38 @@ class TestClientDisconnects:
     def test_respond_swallows_disconnect_during_headers(self):
         request = FakeDisconnectedRequest("/metrics")
         request.send_response = FakeWfile(ConnectionResetError).write
-        MetricsServer._respond(
+        sent = MetricsServer._respond(
             request, 200, "application/json", b"{}"
         )  # must not raise
+        assert sent == 0
+
+    def test_respond_swallows_disconnect_at_flush_time(self):
+        # A buffered wfile accepts every write; the dead socket only
+        # surfaces when the response is flushed.
+        class FlushFails(FakeWfile):
+            def write(self, data):
+                return len(data)
+
+            def flush(self):
+                raise self.error("client went away")
+
+        for error in (BrokenPipeError, ConnectionResetError):
+            request = FakeDisconnectedRequest("/metrics")
+            request.wfile = FlushFails(error)
+            assert MetricsServer(MetricsRegistry())._handle(request) == 0
+            assert request.statuses == [200]
+
+    def test_respond_returns_the_status_it_sent(self):
+        class Connected(FakeWfile):
+            def write(self, data):
+                self.body = data
+
+        request = FakeDisconnectedRequest("/healthz")
+        request.wfile = Connected()
+        server = MetricsServer(MetricsRegistry(), health_callback=lambda: False)
+        assert server._handle(request) == 503
+        assert request.statuses == [503]
+        assert request.wfile.body == b'{"status": "unhealthy"}'
 
     def test_server_survives_early_socket_close(self, server):
         # A real socket that sends the request then resets immediately;
