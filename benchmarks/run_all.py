@@ -47,7 +47,7 @@ from repro.bench.workloads import (  # noqa: E402
     run_queryset_b,
     run_queryset_c,
 )
-from repro.core.matcher import kernel_mode, make_matcher  # noqa: E402
+from repro.core.matcher import make_matcher  # noqa: E402
 from repro.datagen import (  # noqa: E402
     ClickstreamConfig,
     SyntheticConfig,
@@ -212,12 +212,11 @@ def run_case(case: BenchCase, db, repeats: int) -> dict:
 def build_micro_benches(datasets: Dict[str, object]) -> Dict[str, tuple]:
     """Kernel micro-benchmarks isolating the matcher and join inner loops.
 
-    ``matcher_kernel_*`` times one full scan of the synthetic sequences
-    through the compiled (dictionary-encoded) vs legacy (value-space)
-    matcher; ``join_intersect_*`` times one L2 ⋈ L2 join with the
-    intersection kernel pinned to sorted galloping vs bitmap AND.  The
-    sequence pipeline and index builds happen outside the timed region so
-    the sections measure exactly the kernels.
+    ``matcher_kernel_compiled`` times one full scan of the synthetic
+    sequences through the matcher; ``join_intersect_*`` times one L2 ⋈ L2
+    join with the intersection kernel pinned to sorted galloping vs bitmap
+    AND.  The sequence pipeline and index builds happen outside the timed
+    region so the sections measure exactly the kernels.
 
     Returns ``name -> (dataset, fn)`` where ``fn()`` performs one timed
     run and returns its deterministic counters.
@@ -229,18 +228,12 @@ def build_micro_benches(datasets: Dict[str, object]) -> Dict[str, tuple]:
     )
     sequences = list(groups.all_sequences())
 
-    def matcher_scan(mode: str):
-        def run() -> dict:
-            with kernel_mode(mode):
-                matcher = make_matcher(
-                    spec.template, synthetic.schema, db=synthetic
-                )
-                cells = 0
-                for sequence in sequences:
-                    cells += len(matcher.assignments(sequence))
-            return {"sequences_scanned": len(sequences), "cells": cells}
-
-        return run
+    def matcher_scan() -> dict:
+        matcher = make_matcher(spec.template, synthetic)
+        cells = 0
+        for sequence in sequences:
+            cells += len(matcher.assignments(sequence))
+        return {"sequences_scanned": len(sequences), "cells": cells}
 
     group = groups.single_group()
     left = build_index(group, prefix_template(spec.template, 2), synthetic.schema)
@@ -260,8 +253,7 @@ def build_micro_benches(datasets: Dict[str, object]) -> Dict[str, tuple]:
         return run
 
     return {
-        "matcher_kernel_compiled": ("synthetic", matcher_scan("auto")),
-        "matcher_kernel_legacy": ("synthetic", matcher_scan("legacy")),
+        "matcher_kernel_compiled": ("synthetic", matcher_scan),
         "join_intersect_sorted": ("synthetic", join_run("sorted")),
         "join_intersect_bitmap": ("synthetic", join_run("bitmap")),
     }

@@ -44,7 +44,6 @@ from repro.core import (
     SCuboid,
     SOLAPEngine,
     Session,
-    TemplateMatcher,
     counter_based_cuboid,
     detail_summarization_counterexample,
     inverted_index_cuboid,
@@ -149,7 +148,6 @@ __all__ = [
     "SessionNotFoundError",
     "SpecError",
     "TRUE",
-    "TemplateMatcher",
     "build_index",
     "build_sequence_groups",
     "conjoin",

@@ -14,7 +14,6 @@ from repro.core.inverted_index import (
     precompute_indices,
     rollup_by_merge_is_valid,
 )
-from repro.core.matcher import TemplateMatcher
 from repro.core.repository import CuboidRepository
 from repro.core.session import Session
 from repro.core.spec import (
@@ -47,7 +46,6 @@ __all__ = [
     "SCuboid",
     "SOLAPEngine",
     "Session",
-    "TemplateMatcher",
     "counter_based_cuboid",
     "detail_summarization_counterexample",
     "explain",

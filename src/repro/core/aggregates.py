@@ -14,7 +14,7 @@ mirroring the paper's discussion of the two SUM variants.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Dict, Optional, Sequence as Seq, Tuple
 
 from repro.core.spec import AggregateScope, AggregateSpec
 from repro.events.database import EventDatabase
@@ -113,29 +113,3 @@ def needs_contents(specs: Tuple[AggregateSpec, ...]) -> bool:
     """
     return any(spec.func != "COUNT" for spec in specs)
 
-
-def merge_results(
-    specs: Tuple[AggregateSpec, ...],
-    partials: List[Dict[str, object]],
-) -> Dict[str, object]:
-    """Merge per-chunk aggregate results (online aggregation support).
-
-    COUNT and SUM merge by addition, MIN/MAX by min/max.  AVG cannot be
-    merged from finalised values alone, so online aggregation recomputes it
-    from merged SUM/COUNT pairs when both are requested; a lone AVG raises.
-    """
-    merged: Dict[str, object] = {}
-    for spec in specs:
-        values = [p[spec.name] for p in partials if p.get(spec.name) is not None]
-        if spec.func in ("COUNT", "SUM"):
-            merged[spec.name] = sum(values) if values else (0 if spec.func == "COUNT" else 0.0)
-        elif spec.func == "MIN":
-            merged[spec.name] = min(values) if values else None
-        elif spec.func == "MAX":
-            merged[spec.name] = max(values) if values else None
-        else:
-            raise ValueError(
-                f"{spec.name}: AVG partials cannot be merged; "
-                "request SUM and COUNT instead"
-            )
-    return merged

@@ -10,15 +10,15 @@ single-pass behaviour when the counter space fits in memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.core.aggregates import CellAccumulator
 from repro.core.cuboid import SCuboid
-from repro.core.matcher import make_matcher
-from repro.core.spec import CuboidSpec
+from repro.core.matcher import CompiledMatcher, make_matcher
+from repro.core.spec import AggregateSpec, CuboidSpec
 from repro.core.stats import QueryStats
 from repro.events.database import EventDatabase
-from repro.events.sequence import Sequence, SequenceGroup, SequenceGroupSet
+from repro.events.sequence import Sequence, SequenceGroupSet
 from repro.obs.spans import span
 
 #: cells accumulator table: (group key, cell key) -> CellAccumulator
@@ -44,19 +44,60 @@ def group_is_selected(
 
 def selected_sequences(
     groups: SequenceGroupSet, slices: Dict[int, object]
-) -> Iterator[Tuple[SequenceGroup, Sequence]]:
-    """The canonical scan order of the CB procedure: every sequence of every
-    selected group, group-major.
+) -> Iterator[Tuple[Tuple[object, ...], Sequence]]:
+    """The canonical scan order of the CB procedure: ``(group key,
+    sequence)`` for every sequence of every selected group, group-major.
 
-    The serial scan below iterates exactly this order, and the shard
+    The serial scan below folds exactly this order, and the shard
     planner (:mod:`repro.shard`) preserves it within each shard, so
     shard-local scans replay the same per-sequence fold order.
     """
     for group in groups:
         if not group_is_selected(group.key, slices):
             continue
+        key = group.key
         for sequence in group:
-            yield group, sequence
+            yield key, sequence
+
+
+def fold(
+    db: EventDatabase,
+    aggregates: Tuple[AggregateSpec, ...],
+    matcher: CompiledMatcher,
+    pairs: Iterable[Tuple[Tuple[object, ...], Sequence]],
+    stats: QueryStats,
+    cells: Optional[CellTable] = None,
+) -> CellTable:
+    """Fold each sequence's cell assignments into per-cell accumulators.
+
+    This is the loop body of procedure CounterBased (Figure 7): for every
+    ``(group key, sequence)`` in *pairs*, count one scan and add each
+    assigned content to the accumulator of its ``(group key, cell key)``.
+    CB folds :func:`selected_sequences`, II counting folds the sequences
+    its index lists, and online aggregation folds one shuffled chunk at a
+    time into the same *cells* table.  COUNT/SUM/MIN/MAX and AVG as its
+    (sum, count) pair are distributive or algebraic, so tables folded over
+    disjoint inputs merge (:mod:`repro.shard.merge`).
+    """
+    if cells is None:
+        cells = {}
+    for group_key, sequence in pairs:
+        stats.add_scan()
+        for cell_key, contents in matcher.assignments(sequence).items():
+            accumulator = cells.get((group_key, cell_key))
+            if accumulator is None:
+                accumulator = CellAccumulator(aggregates)
+                cells[(group_key, cell_key)] = accumulator
+            for content in contents:
+                accumulator.add_assignment(db, sequence, content)
+    return cells
+
+
+def finish(
+    cells: CellTable,
+) -> Dict[Tuple[Tuple[object, ...], Tuple[object, ...]], Dict[str, object]]:
+    """Final aggregate values per cell of a folded table."""
+    return {key: accumulator.results() for key, accumulator in cells.items()}
 
 
 def counter_based_cuboid(
@@ -72,29 +113,17 @@ def counter_based_cuboid(
     """
     stats = stats if stats is not None else QueryStats()
     stats.strategy = stats.strategy or "CB"
-    matcher = make_matcher(
-        spec.template, db.schema, spec.restriction, spec.predicate,
-        db=db, stats=stats,
-    )
-    slices = spec.sliced_groups()
-    cells: CellTable = {}
-
-    kernel = stats.extra.get("matcher", "legacy")
-    match_span = "match.encoded" if kernel == "compiled" else "match.legacy"
+    matcher = make_matcher(spec.template, db, spec.restriction, spec.predicate)
     with span("cb.scan") as scan_span:
-        scan_span.set("kernel", kernel)
         scanned_before = stats.sequences_scanned
-        with span(match_span) as m_span:
-            for group, sequence in selected_sequences(groups, slices):
-                stats.add_scan()
-                assignments = matcher.assignments(sequence)
-                for cell_key, contents in assignments.items():
-                    accumulator = cells.get((group.key, cell_key))
-                    if accumulator is None:
-                        accumulator = CellAccumulator(spec.aggregates)
-                        cells[(group.key, cell_key)] = accumulator
-                    for content in contents:
-                        accumulator.add_assignment(db, sequence, content)
+        with span("match.encoded") as m_span:
+            cells = fold(
+                db,
+                spec.aggregates,
+                matcher,
+                selected_sequences(groups, spec.sliced_groups()),
+                stats,
+            )
             m_span.set(
                 "sequences_scanned", stats.sequences_scanned - scanned_before
             )
@@ -104,7 +133,4 @@ def counter_based_cuboid(
         scan_span.set("cells_out", len(cells))
 
     stats.checkpoint()
-    return SCuboid(
-        spec,
-        {key: accumulator.results() for key, accumulator in cells.items()},
-    )
+    return SCuboid(spec, finish(cells))

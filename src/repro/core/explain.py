@@ -19,7 +19,6 @@ from repro.core.inverted_index import (
     _find_rollup_source,
     rollup_by_merge_is_valid,
 )
-from repro.core.matcher import can_compile
 from repro.core.spec import CellRestriction, CuboidSpec
 from repro.optimizer.cost_model import CostModel, profile_groups
 
@@ -71,15 +70,6 @@ def explain(engine: SOLAPEngine, spec: CuboidSpec) -> QueryPlan:
         f"[m={template.length}, n={template.n_dims}"
         + (", wildcards" if template.has_wildcards else "")
         + "]",
-        1,
-    )
-    plan.add(
-        "matcher kernel: "
-        + (
-            "compiled (dictionary-encoded)"
-            if can_compile(template, engine.db)
-            else "legacy (value-space)"
-        ),
         1,
     )
 

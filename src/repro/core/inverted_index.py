@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.aggregates import CellAccumulator, needs_contents
-from repro.core.counter_based import group_is_selected
+from repro.core.aggregates import needs_contents
+from repro.core.counter_based import finish, fold, group_is_selected
 from repro.core.cuboid import SCuboid
 from repro.core.matcher import make_matcher
 from repro.core.spec import (
@@ -355,10 +355,7 @@ def count_index(
     stats: QueryStats,
 ) -> Dict[Tuple[object, ...], Dict[str, object]]:
     """Aggregate each index list into cuboid cell values for one group."""
-    matcher = make_matcher(
-        spec.template, db.schema, spec.restriction, spec.predicate,
-        db=db, stats=stats,
-    )
+    matcher = make_matcher(spec.template, db, spec.restriction, spec.predicate)
     fast_count = (
         not needs_contents(spec.aggregates)
         and spec.predicate is None
@@ -377,23 +374,21 @@ def count_index(
             entry[count_name] += len(sids)  # type: ignore[operator]
         return cells
 
-    # General path: scan each distinct listed sequence once and fold its
-    # qualifying assignments, restricted to patterns present in the index.
+    # General path: fold each distinct listed sequence once, then keep
+    # only the cells whose patterns the index lists.
+    folded = fold(
+        db,
+        spec.aggregates,
+        matcher,
+        ((group.key, group.by_sid(sid)) for sid in sorted(index.all_sids())),
+        stats,
+    )
     wanted = set(index.lists)
-    accumulators: Dict[Tuple[object, ...], CellAccumulator] = {}
-    for sid in sorted(index.all_sids()):
-        sequence = group.by_sid(sid)
-        stats.add_scan()
-        for cell_key, contents in matcher.assignments(sequence).items():
-            if matcher.positions_key(cell_key) not in wanted:
-                continue
-            accumulator = accumulators.get(cell_key)
-            if accumulator is None:
-                accumulator = CellAccumulator(spec.aggregates)
-                accumulators[cell_key] = accumulator
-            for content in contents:
-                accumulator.add_assignment(db, sequence, content)
-    return {key: acc.results() for key, acc in accumulators.items()}
+    return {
+        cell_key: values
+        for (__, cell_key), values in finish(folded).items()
+        if matcher.positions_key(cell_key) in wanted
+    }
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,13 @@ Occurrences are enumerated in left-to-right order: contiguous windows for
 order) for ``SUBSEQUENCE`` templates.  Subsequence enumeration is
 exponential in the worst case — the paper's prototype shares this property —
 but template lengths in practice are small (≤ 6).
+
+Matching runs in *code space*: :func:`make_matcher` compiles a template
+against the database's dictionary (:mod:`repro.events.encoding`) into a
+:class:`CompiledMatcher`, which compares integer codes over flat code rows
+and decodes cell keys back to values once per distinct cell.  There is no
+other matcher; a template that cannot be compiled is a
+:class:`~repro.errors.SchemaError` at compile time.
 """
 
 from __future__ import annotations
@@ -81,9 +88,6 @@ class occurrence_limit:
     def __exit__(self, *exc_info) -> None:
         set_default_occurrence_limit(self._previous)
 
-#: An occurrence: the instantiated value at each template position plus the
-#: (0-based, increasing) event positions within the sequence it occupies.
-Occurrence = Tuple[Tuple[object, ...], Tuple[int, ...]]
 
 #: Assigned cell content: the database row indices of the assigned events.
 Content = Tuple[int, ...]
@@ -115,21 +119,32 @@ def _symbol_value_ok(symbol: PatternSymbol, value: object, schema: Schema) -> bo
     return True
 
 
-class TemplateMatcher:
-    """Occurrence enumeration and cell assignment for one template.
+class CompiledMatcher:
+    """Occurrence enumeration and cell assignment for one template, in code space.
 
-    A matcher is constructed once per (template, restriction, predicate)
-    triple and reused across sequences; it precomputes per-position symbol
-    metadata so the per-sequence work is a tight loop.
+    Built by :meth:`compile` from a template plus a database, once per
+    (template, restriction, predicate) triple and reused across sequences:
+    every symbol restriction (fixed / within) is translated once into an
+    *accept-set* of integer codes, placeholder equality becomes an int
+    compare, and the substring / subsequence automaton runs over flat
+    ``array('I')`` rows from the database's
+    :class:`~repro.events.encoding.EncodedSequenceStore`.  Cell keys are
+    aggregated in code space and decoded (then interned) once per distinct
+    cell.  The matcher holds no per-sequence scratch state, so one instance
+    may be shared across the thread backend's pool.
     """
 
     def __init__(
         self,
         template: PatternTemplate,
         schema: Schema,
-        restriction: CellRestriction = CellRestriction.LEFT_MAXIMALITY,
-        predicate: Optional[MatchingPredicate] = None,
-        occurrence_cap: Optional[int] = None,
+        restriction: CellRestriction,
+        predicate: Optional[MatchingPredicate],
+        occurrence_cap: Optional[int],
+        *,
+        store,
+        row_domains: Tuple[Optional[Tuple[str, str]], ...],
+        accepts: Tuple[Optional[frozenset], ...],
     ):
         self.template = template
         self.schema = schema
@@ -137,7 +152,6 @@ class TemplateMatcher:
         self.predicate = predicate
         #: per-sequence enumeration cap (falls back to the process default)
         self.occurrence_cap = occurrence_cap
-        self._position_symbols = template.position_symbols()
         self._symbol_ids = template.symbol_ids()
         self._m = template.length
         #: number of distinct symbols (wildcards included; binding array size)
@@ -171,316 +185,6 @@ class TemplateMatcher:
             None if template.symbols[dim].wildcard else dim_to_cell[dim]
             for dim in self._symbol_ids
         )
-
-    # ------------------------------------------------------------------
-    # Symbol extraction
-    # ------------------------------------------------------------------
-    def symbol_tuples(self, sequence: Sequence) -> List[Tuple[object, ...]]:
-        """Level-mapped symbol values per template position for *sequence*.
-
-        Wildcard positions yield ``None`` everywhere: they bind no value,
-        so every comparison against them is vacuous by construction.
-        """
-        none_row: Optional[Tuple[object, ...]] = None
-        rows: List[Tuple[object, ...]] = []
-        for symbol in self._position_symbols:
-            if symbol.wildcard:
-                if none_row is None:
-                    none_row = (None,) * len(sequence)
-                rows.append(none_row)
-            else:
-                rows.append(sequence.symbols(symbol.attribute, symbol.level))
-        return rows
-
-    # ------------------------------------------------------------------
-    # Occurrence enumeration
-    # ------------------------------------------------------------------
-    def iter_occurrences(self, sequence: Sequence) -> Iterator[Occurrence]:
-        """All template occurrences in *sequence*, in left-to-right order.
-
-        An occurrence satisfies symbol-equality (repeated symbols bind the
-        same value) and every symbol restriction (fixed / within), but is
-        **not** yet checked against the matching predicate.
-        """
-        if len(sequence) < self._m:
-            return
-        if self.template.kind is PatternKind.SUBSTRING:
-            source = self._iter_substring(sequence)
-        else:
-            source = self._iter_subsequence(sequence)
-        cap = (
-            self.occurrence_cap
-            if self.occurrence_cap is not None
-            else _default_occurrence_limit
-        )
-        if cap is None:
-            yield from source
-            return
-        count = 0
-        for occurrence in source:
-            count += 1
-            if count > cap:
-                raise MatchLimitExceeded(
-                    f"sequence sid={sequence.sid} exceeded the occurrence cap "
-                    f"of {cap} for template {self.template.positions} "
-                    f"({self.template.kind.value}); raise the cap or use a "
-                    "more selective template"
-                )
-            yield occurrence
-
-    def _iter_substring(self, sequence: Sequence) -> Iterator[Occurrence]:
-        symbol_tuples = self.symbol_tuples(sequence)
-        m = self._m
-        n_events = len(sequence)
-        position_symbols = self._position_symbols
-        symbol_ids = self._symbol_ids
-        schema = self.schema
-        for start in range(n_events - m + 1):
-            bound: List[object] = [None] * self._n
-            bound_set = [False] * self._n
-            ok = True
-            for offset in range(m):
-                value = symbol_tuples[offset][start + offset]
-                dim = symbol_ids[offset]
-                if bound_set[dim]:
-                    if bound[dim] != value:
-                        ok = False
-                        break
-                else:
-                    if not _symbol_value_ok(position_symbols[offset], value, schema):
-                        ok = False
-                        break
-                    bound[dim] = value
-                    bound_set[dim] = True
-            if ok:
-                values = tuple(
-                    symbol_tuples[offset][start + offset] for offset in range(m)
-                )
-                yield values, tuple(range(start, start + m))
-
-    def _iter_subsequence(self, sequence: Sequence) -> Iterator[Occurrence]:
-        symbol_tuples = self.symbol_tuples(sequence)
-        m = self._m
-        n_events = len(sequence)
-        symbol_ids = self._symbol_ids
-        position_symbols = self._position_symbols
-        schema = self.schema
-        indices: List[int] = [0] * m
-        values: List[object] = [None] * m
-
-        def extend(offset: int, start: int) -> Iterator[Occurrence]:
-            if offset == m:
-                yield tuple(values), tuple(indices)
-                return
-            # Prune: not enough events left for the remaining positions.
-            for index in range(start, n_events - (m - offset - 1)):
-                value = symbol_tuples[offset][index]
-                dim = symbol_ids[offset]
-                earlier = self._first_occurrence_offset(offset, dim)
-                if earlier is not None:
-                    if values[earlier] != value:
-                        continue
-                elif not _symbol_value_ok(position_symbols[offset], value, schema):
-                    continue
-                indices[offset] = index
-                values[offset] = value
-                yield from extend(offset + 1, index + 1)
-
-        yield from extend(0, 0)
-
-    def _first_occurrence_offset(self, offset: int, dim: int) -> Optional[int]:
-        """The earlier position binding *dim*, or None if *offset* is first."""
-        first = self._first_position[dim]
-        return first if first < offset else None
-
-    # ------------------------------------------------------------------
-    # Predicate evaluation
-    # ------------------------------------------------------------------
-    def occurrence_qualifies(self, sequence: Sequence, occurrence: Occurrence) -> bool:
-        """Evaluate the matching predicate over the occurrence's events."""
-        if self.predicate is None:
-            return True
-        __, indices = occurrence
-        bindings = {
-            placeholder: sequence.event(index)
-            for placeholder, index in zip(self.predicate.placeholders, indices)
-        }
-        return self.predicate.expr.evaluate(BindingContext(bindings))
-
-    # ------------------------------------------------------------------
-    # Cell keys
-    # ------------------------------------------------------------------
-    def cell_key(self, values: Tuple[object, ...]) -> Tuple[object, ...]:
-        """Pattern-dimension key (n values) from per-position values (m).
-
-        Wildcard positions carry no dimension and are dropped.
-        """
-        key = tuple(values[position] for position in self._cell_first_positions)
-        return self._interned_keys.setdefault(key, key)
-
-    def positions_key(self, cell_key: Tuple[object, ...]) -> Tuple[object, ...]:
-        """Per-position values (m) from a pattern-dimension key (n).
-
-        Wildcard positions reconstruct as ``None`` — exactly the value the
-        matcher records for them, so keys round-trip.
-        """
-        key = tuple(
-            None if slot is None else cell_key[slot]
-            for slot in self._positions_plan
-        )
-        return self._interned_keys.setdefault(key, key)
-
-    # ------------------------------------------------------------------
-    # Cell assignment under a restriction
-    # ------------------------------------------------------------------
-    def assignments(self, sequence: Sequence) -> Dict[Tuple[object, ...], List[Content]]:
-        """Cell → assigned contents for *sequence* under the restriction.
-
-        Keys are pattern-dimension tuples (length n); values are lists of
-        assigned contents (database row tuples).  Under left-maximality the
-        list has exactly one entry per cell.
-        """
-        result: Dict[Tuple[object, ...], List[Content]] = {}
-        all_matched = self.restriction is CellRestriction.ALL_MATCHED
-        data_go = self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA
-        for values, indices in self.iter_occurrences(sequence):
-            key = self.cell_key(values)
-            if not all_matched and key in result:
-                continue
-            if not self.occurrence_qualifies(sequence, (values, indices)):
-                continue
-            if data_go:
-                content: Content = tuple(sequence.rows)
-            else:
-                content = tuple(sequence.rows[index] for index in indices)
-            result.setdefault(key, []).append(content)
-        return result
-
-    def matched_cells(self, sequence: Sequence) -> List[Tuple[object, ...]]:
-        """Distinct cell keys with at least one qualifying occurrence."""
-        return list(self.assignments(sequence))
-
-    # ------------------------------------------------------------------
-    # Per-cell queries (used by the inverted-index strategy)
-    # ------------------------------------------------------------------
-    def contains_instantiation(
-        self, sequence: Sequence, position_values: Tuple[object, ...]
-    ) -> bool:
-        """Template-only containment of a *specific* instantiation.
-
-        Used by the join-verification step: the predicate is deliberately
-        not applied here (the paper verifies σ and ρ only at counting time).
-        """
-        return self._first_pattern_occurrence(sequence, position_values) is not None
-
-    def cell_contents(
-        self, sequence: Sequence, position_values: Tuple[object, ...]
-    ) -> List[Content]:
-        """Assigned contents of *sequence* for one specific cell.
-
-        Applies the matching predicate and the cell restriction, exactly as
-        :meth:`assignments` does, but only for the given instantiation.
-        """
-        contents: List[Content] = []
-        all_matched = self.restriction is CellRestriction.ALL_MATCHED
-        data_go = self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA
-        for occurrence in self._iter_pattern_occurrences(sequence, position_values):
-            if not self.occurrence_qualifies(sequence, occurrence):
-                continue
-            __, indices = occurrence
-            if data_go:
-                contents.append(tuple(sequence.rows))
-            else:
-                contents.append(tuple(sequence.rows[i] for i in indices))
-            if not all_matched:
-                break
-        return contents
-
-    def _iter_pattern_occurrences(
-        self, sequence: Sequence, position_values: Tuple[object, ...]
-    ) -> Iterator[Occurrence]:
-        """Occurrences of one fixed instantiation, left-to-right."""
-        if len(sequence) < self._m:
-            return
-        symbol_tuples = self.symbol_tuples(sequence)
-        m = self._m
-        n_events = len(sequence)
-        if self.template.kind is PatternKind.SUBSTRING:
-            for start in range(n_events - m + 1):
-                if all(
-                    symbol_tuples[offset][start + offset] == position_values[offset]
-                    for offset in range(m)
-                ):
-                    yield position_values, tuple(range(start, start + m))
-            return
-
-        indices: List[int] = [0] * m
-
-        def extend(offset: int, start: int) -> Iterator[Occurrence]:
-            if offset == m:
-                yield position_values, tuple(indices)
-                return
-            for index in range(start, n_events - (m - offset - 1)):
-                if symbol_tuples[offset][index] != position_values[offset]:
-                    continue
-                indices[offset] = index
-                yield from extend(offset + 1, index + 1)
-
-        yield from extend(0, 0)
-
-    def _first_pattern_occurrence(
-        self, sequence: Sequence, position_values: Tuple[object, ...]
-    ) -> Optional[Occurrence]:
-        for occurrence in self._iter_pattern_occurrences(sequence, position_values):
-            return occurrence
-        return None
-
-    # ------------------------------------------------------------------
-    # Index support: unique instantiations (BuildIndex, Figure 9, line 4)
-    # ------------------------------------------------------------------
-    def unique_instantiations(self, sequence: Sequence) -> List[Tuple[object, ...]]:
-        """Distinct per-position value tuples of template occurrences.
-
-        This is the BuildIndex enumeration: template-only (no σ, no ρ).
-        """
-        seen: Dict[Tuple[object, ...], None] = {}
-        for values, __ in self.iter_occurrences(sequence):
-            seen.setdefault(values, None)
-        return list(seen)
-
-
-class CompiledMatcher(TemplateMatcher):
-    """A :class:`TemplateMatcher` running over dictionary-encoded code rows.
-
-    Built by :meth:`compile` from a template plus a database: every symbol
-    restriction (fixed / within) is translated once into an *accept-set* of
-    integer codes, placeholder equality becomes an int compare, and the
-    substring / subsequence automaton runs over flat ``array('I')`` rows
-    from the database's :class:`~repro.events.encoding.EncodedSequenceStore`.
-    Cell keys are aggregated in code space and decoded (then interned) once
-    per distinct cell, so results — cells, contents, enumeration order, and
-    the occurrence-cap behaviour — are bit-identical to the object matcher.
-
-    Only the hot entry points (:meth:`assignments`,
-    :meth:`unique_instantiations`) are overridden; the per-cell methods used
-    by index counting inherit the object implementations.  The matcher holds
-    no per-sequence scratch state, so one instance may be shared across the
-    thread backend's pool.
-    """
-
-    def __init__(
-        self,
-        template: PatternTemplate,
-        schema: Schema,
-        restriction: CellRestriction,
-        predicate: Optional[MatchingPredicate],
-        occurrence_cap: Optional[int],
-        *,
-        store,
-        row_domains: Tuple[Optional[Tuple[str, str]], ...],
-        accepts: Tuple[Optional[frozenset], ...],
-    ):
-        super().__init__(template, schema, restriction, predicate, occurrence_cap)
         self._store = store
         #: per template position: the (attribute, level) domain of its code
         #: row, or None for wildcard positions (which match any event)
@@ -532,10 +236,11 @@ class CompiledMatcher(TemplateMatcher):
     ) -> "CompiledMatcher":
         """Translate *template* into code space against *db*'s dictionary.
 
-        Raises (typically :class:`~repro.errors.SchemaError` for unmappable
-        values or callable-mapping ``within`` checks, ``TypeError`` for
-        unhashable dimension values) when the template cannot be compiled;
-        callers fall back to the object matcher.
+        Raises :class:`~repro.errors.SchemaError`, naming the symbol's
+        attribute and level, when a symbol cannot be encoded: an unknown
+        level, a stored value the hierarchy cannot map to the level, a
+        ``within`` restriction on a callable-mapped level, or an unhashable
+        stored value.
         """
         schema = db.schema
         store = db.encoding_store()
@@ -546,17 +251,23 @@ class CompiledMatcher(TemplateMatcher):
                 row_domains.append(None)
                 accepts.append(None)
                 continue
-            schema.check_level(symbol.attribute, symbol.level)
-            domain = (symbol.attribute, symbol.level)
-            # Interning the full base-data domain up front makes the
-            # accept-sets sound (no value can appear later and bypass them)
-            # and surfaces any encoding problem at compile time.
-            store.ensure_domain_complete(db, symbol.attribute, symbol.level)
-            row_domains.append(domain)
-            if symbol.fixed is None and symbol.within is None:
-                accepts.append(None)
-            else:
-                accepts.append(store.accept_codes(db, symbol))
+            try:
+                schema.check_level(symbol.attribute, symbol.level)
+                # Interning the full base-data domain up front makes the
+                # accept-sets sound (no value can appear later and bypass
+                # them) and surfaces any encoding problem here.
+                store.ensure_domain_complete(db, symbol.attribute, symbol.level)
+                if symbol.fixed is None and symbol.within is None:
+                    accept = None
+                else:
+                    accept = store.accept_codes(db, symbol)
+            except (SchemaError, TypeError) as exc:
+                raise SchemaError(
+                    f"pattern symbol {symbol.name!r} cannot be matched on "
+                    f"{symbol.attribute!r} AT {symbol.level!r}: {exc}"
+                ) from exc
+            row_domains.append((symbol.attribute, symbol.level))
+            accepts.append(accept)
         return cls(
             template,
             schema,
@@ -567,6 +278,40 @@ class CompiledMatcher(TemplateMatcher):
             row_domains=tuple(row_domains),
             accepts=tuple(accepts),
         )
+
+    # ------------------------------------------------------------------
+    # Predicate evaluation and cell keys
+    # ------------------------------------------------------------------
+    def occurrence_qualifies(
+        self, sequence: Sequence, indices: Tuple[int, ...]
+    ) -> bool:
+        """Evaluate the matching predicate over the occurrence's events."""
+        if self.predicate is None:
+            return True
+        bindings = {
+            placeholder: sequence.event(index)
+            for placeholder, index in zip(self.predicate.placeholders, indices)
+        }
+        return self.predicate.expr.evaluate(BindingContext(bindings))
+
+    def cell_key(self, values: Tuple[object, ...]) -> Tuple[object, ...]:
+        """Pattern-dimension key (n values) from per-position values (m).
+
+        Wildcard positions carry no dimension and are dropped.
+        """
+        key = tuple(values[position] for position in self._cell_first_positions)
+        return self._interned_keys.setdefault(key, key)
+
+    def positions_key(self, cell_key: Tuple[object, ...]) -> Tuple[object, ...]:
+        """Per-position values (m) from a pattern-dimension key (n).
+
+        Wildcard positions reconstruct as ``None``, so keys round-trip.
+        """
+        key = tuple(
+            None if slot is None else cell_key[slot]
+            for slot in self._positions_plan
+        )
+        return self._interned_keys.setdefault(key, key)
 
     # ------------------------------------------------------------------
     # Code-space enumeration
@@ -583,9 +328,10 @@ class CompiledMatcher(TemplateMatcher):
     ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """(code cell key, event indices) per occurrence, left-to-right.
 
-        Enumeration order, the set of occurrences and the occurrence-cap
-        accounting are exactly those of :meth:`iter_occurrences`; only the
-        value representation differs (codes instead of objects).
+        An occurrence satisfies symbol equality (repeated symbols bind the
+        same code) and every accept-set, but is **not** yet checked against
+        the matching predicate.  Each occurrence counts against the
+        occurrence cap.
         """
         if len(sequence) < self._m:
             return
@@ -593,11 +339,7 @@ class CompiledMatcher(TemplateMatcher):
             source = self._iter_code_substring(sequence)
         else:
             source = self._iter_code_subsequence(sequence)
-        cap = (
-            self.occurrence_cap
-            if self.occurrence_cap is not None
-            else _default_occurrence_limit
-        )
+        cap = self._effective_cap()
         if cap is None:
             yield from source
             return
@@ -605,12 +347,7 @@ class CompiledMatcher(TemplateMatcher):
         for occurrence in source:
             count += 1
             if count > cap:
-                raise MatchLimitExceeded(
-                    f"sequence sid={sequence.sid} exceeded the occurrence cap "
-                    f"of {cap} for template {self.template.positions} "
-                    f"({self.template.kind.value}); raise the cap or use a "
-                    "more selective template"
-                )
+                self._raise_cap(sequence, cap)
             yield occurrence
 
     def _iter_code_substring(self, sequence: Sequence):
@@ -709,7 +446,7 @@ class CompiledMatcher(TemplateMatcher):
         Valid only for ``_simple_substring`` templates: the cell key of the
         window at *start* is exactly ``(row_0[start], row_1[start+1], ...)``
         and every window matches, so zipping the position rows at their
-        offsets enumerates all occurrences in legacy order with no
+        offsets enumerates all occurrences in left-to-right order with no
         per-position Python loop.
         """
         store = self._store
@@ -746,9 +483,15 @@ class CompiledMatcher(TemplateMatcher):
             self._raise_cap(sequence, cap)
 
     # ------------------------------------------------------------------
-    # Hot entry points, re-run over codes
+    # Cell assignment under a restriction
     # ------------------------------------------------------------------
     def assignments(self, sequence: Sequence) -> Dict[Tuple[object, ...], List[Content]]:
+        """Cell → assigned contents for *sequence* under the restriction.
+
+        Keys are pattern-dimension value tuples (length n); values are lists
+        of assigned contents (database row tuples).  Under left-maximality
+        the list has exactly one entry per cell.
+        """
         all_matched = self.restriction is CellRestriction.ALL_MATCHED
         data_go = self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA
         predicate = self.predicate
@@ -807,7 +550,7 @@ class CompiledMatcher(TemplateMatcher):
             if not all_matched and key in by_code:
                 continue
             if predicate is not None and not self.occurrence_qualifies(
-                sequence, ((), indices)
+                sequence, indices
             ):
                 continue
             if data_go:
@@ -829,7 +572,14 @@ class CompiledMatcher(TemplateMatcher):
             )
         return found
 
+    # ------------------------------------------------------------------
+    # Index support: unique instantiations (BuildIndex, Figure 9, line 4)
+    # ------------------------------------------------------------------
     def unique_instantiations(self, sequence: Sequence) -> List[Tuple[object, ...]]:
+        """Distinct per-position value tuples of template occurrences.
+
+        This is the BuildIndex enumeration: template-only (no σ, no ρ).
+        """
         if self._simple_substring:
             n_windows = len(sequence) - self._m + 1
             if n_windows <= 0:
@@ -874,55 +624,13 @@ class CompiledMatcher(TemplateMatcher):
 
 
 # --------------------------------------------------------------------------
-# Kernel dispatch: compiled when possible, object matcher otherwise
+# Construction
 # --------------------------------------------------------------------------
 
-#: which matcher kernel make_matcher selects: "auto" compiles when it can,
-#: "legacy" forces the object matcher (used by A/B tests and benchmarks)
-_kernel_mode = "auto"
-
 _dispatch_lock = threading.Lock()
-#: process-local counts of make_matcher outcomes, exported as the
-#: ``solap_matcher_dispatch_total{kind}`` metric family
-_dispatch_counts: Dict[str, int] = {"compiled": 0, "legacy": 0, "fallback": 0}
-
-#: exceptions that mean "this template cannot be compiled", not "bug":
-#: unmappable values / callable-mapping children (SchemaError), unhashable
-#: dimension values (TypeError), malformed codes (ValueError, OverflowError)
-_COMPILE_ERRORS = (SchemaError, TypeError, ValueError, OverflowError)
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Set the matcher kernel mode ("auto" / "legacy"); returns the old one."""
-    global _kernel_mode
-    if mode not in ("auto", "legacy"):
-        raise ValueError(f"unknown kernel mode {mode!r}; use 'auto' or 'legacy'")
-    previous = _kernel_mode
-    _kernel_mode = mode
-    return previous
-
-
-def get_kernel_mode() -> str:
-    return _kernel_mode
-
-
-class kernel_mode:
-    """Context manager scoping the matcher kernel mode.
-
-    >>> with kernel_mode("legacy"):
-    ...     engine.execute(spec)   # forces the object matcher
-    """
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "kernel_mode":
-        self._previous = set_kernel_mode(self.mode)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        set_kernel_mode(self._previous)
+#: process-local count of matchers built by make_matcher, exported as the
+#: ``solap_matcher_dispatch_total{kind="compiled"}`` metric family
+_dispatch_counts: Dict[str, int] = {"compiled": 0}
 
 
 def matcher_dispatch_counts() -> Dict[str, int]:
@@ -931,61 +639,22 @@ def matcher_dispatch_counts() -> Dict[str, int]:
         return dict(_dispatch_counts)
 
 
-def _record_dispatch(kind: str, stats=None) -> None:
-    with _dispatch_lock:
-        _dispatch_counts[kind] = _dispatch_counts.get(kind, 0) + 1
-    if stats is not None:
-        stats.extra["matcher"] = kind
-
-
 def make_matcher(
     template: PatternTemplate,
-    schema: Schema,
+    db,
     restriction: CellRestriction = CellRestriction.LEFT_MAXIMALITY,
     predicate: Optional[MatchingPredicate] = None,
     occurrence_cap: Optional[int] = None,
-    *,
-    db=None,
-    stats=None,
-) -> TemplateMatcher:
-    """The matcher for a template: compiled when possible, legacy otherwise.
+) -> CompiledMatcher:
+    """The matcher for *template* over *db*, compiled into code space.
 
-    Passing the event database enables compilation (the dictionary lives on
-    it); without a database — or under ``kernel_mode("legacy")`` — the
-    object matcher is returned.  A failed compile falls back transparently;
-    the chosen kind is recorded in the dispatch counters and, when *stats*
-    is given, in ``QueryStats.extra["matcher"]``.
+    Raises :class:`~repro.errors.SchemaError` when the template cannot be
+    compiled (see :meth:`CompiledMatcher.compile`).
     """
-    if db is not None and _kernel_mode == "auto":
-        with span("match.compile") as sp:
-            try:
-                matcher = CompiledMatcher.compile(
-                    template, db, restriction, predicate, occurrence_cap
-                )
-            except _COMPILE_ERRORS as exc:
-                sp.set("kind", "fallback")
-                sp.set("reason", type(exc).__name__)
-                _record_dispatch("fallback", stats)
-            else:
-                sp.set("kind", "compiled")
-                _record_dispatch("compiled", stats)
-                return matcher
-    else:
-        _record_dispatch("legacy", stats)
-    return TemplateMatcher(template, schema, restriction, predicate, occurrence_cap)
-
-
-def can_compile(template: PatternTemplate, db) -> bool:
-    """Whether make_matcher would return a compiled matcher for *template*.
-
-    Used by scan coordinators to report the kernel that worker processes
-    (whose dispatch counters are invisible here) will run.  Compilation
-    work is memoized on the database's encoding store, so probing is cheap.
-    """
-    if db is None or _kernel_mode != "auto":
-        return False
-    try:
-        CompiledMatcher.compile(template, db)
-    except _COMPILE_ERRORS:
-        return False
-    return True
+    with span("match.compile"):
+        matcher = CompiledMatcher.compile(
+            template, db, restriction, predicate, occurrence_cap
+        )
+    with _dispatch_lock:
+        _dispatch_counts["compiled"] += 1
+    return matcher

@@ -15,7 +15,7 @@ This module provides that layer for the sequence engine:
   object itself, so rows live exactly as long as the sequence-cache entry
   that owns the sequence.
 
-Codes are **process-local**: the compiled matcher decodes cell keys back
+Codes are **process-local**: the matcher decodes cell keys back
 to values before results leave the kernel, so worker processes only need
 internally-consistent dictionaries, never a shared global one.  The store
 travels with the :class:`~repro.events.database.EventDatabase` through the
@@ -278,8 +278,7 @@ class EncodedSequenceStore:
         is built.  Event data is immutable during query execution, so one
         pass over the (level-mapped) column closes the domain.  Raises
         :class:`~repro.errors.SchemaError` when a stored value has no
-        mapping at *level* — the caller treats that as "uncompilable" and
-        falls back to the object matcher.
+        mapping at *level*, which fails the template's compilation.
         """
         domain = (attribute, level)
         if domain in self._complete_domains:

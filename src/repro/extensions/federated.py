@@ -84,7 +84,7 @@ class VendorSite:
         groups = build_sequence_groups(
             self._db, None, self._cluster_by, self._sequence_by
         )
-        matcher = make_matcher(template, self._db.schema, db=self._db)
+        matcher = make_matcher(template, self._db)
         lists: Dict[PatternValues, set] = {}
         for sequence in groups.all_sequences():
             pseudonym = pseudonymize(

@@ -5,12 +5,14 @@
 processed.  Such an approximate answer ... is periodically refreshed and
 refined as the computation continues."
 
-:func:`online_cuboid` is a generator: it processes sequences in chunks
-(CB-style) and yields an :class:`OnlineEstimate` after every chunk.  Each
-estimate carries the exact partial cuboid over the processed prefix, the
-processed fraction, and a scaled extrapolation of COUNT cells — adequate
-for the paper's example use ("approximate numbers like 200,000 for the
-Pentagon-Wheaton round-trip would be informative enough").
+:func:`online_cuboid` is a generator: it runs CB's
+:func:`~repro.core.counter_based.fold` over one chunk of sequences at a
+time, into one cell table, and yields an :class:`OnlineEstimate` after
+every chunk.  Each estimate carries the exact partial cuboid over the
+processed prefix, the processed fraction, and a scaled extrapolation of
+COUNT cells — adequate for the paper's example use ("approximate numbers
+like 200,000 for the Pentagon-Wheaton round-trip would be informative
+enough").
 
 To make the estimate representative rather than order-biased, sequences
 are visited in a deterministically shuffled order (seeded), which is the
@@ -21,16 +23,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.core.aggregates import CellAccumulator
-from repro.core.counter_based import group_is_selected
+from repro.core.counter_based import CellTable, finish, fold, selected_sequences
 from repro.core.cuboid import SCuboid
 from repro.core.matcher import make_matcher
 from repro.core.spec import CuboidSpec
 from repro.core.stats import QueryStats
 from repro.events.database import EventDatabase
-from repro.events.sequence import Sequence, SequenceGroupSet
+from repro.events.sequence import SequenceGroupSet
 
 
 @dataclass
@@ -102,42 +103,21 @@ def online_cuboid(
         # so huge chunks still cancel promptly.
         stats.deadline = cancel
     stats.strategy = "online"
-    matcher = make_matcher(
-        spec.template, db.schema, spec.restriction, spec.predicate,
-        db=db, stats=stats,
-    )
-    slices = spec.sliced_groups()
-    work: List[Tuple[Tuple[object, ...], Sequence]] = []
-    for group in groups:
-        if not group_is_selected(group.key, slices):
-            continue
-        for sequence in group:
-            work.append((group.key, sequence))
+    matcher = make_matcher(spec.template, db, spec.restriction, spec.predicate)
+    work = list(selected_sequences(groups, spec.sliced_groups()))
     rng = random.Random(seed)
     rng.shuffle(work)
 
-    accumulators: Dict[
-        Tuple[Tuple[object, ...], Tuple[object, ...]], CellAccumulator
-    ] = {}
+    cells: CellTable = {}
     total = len(work)
     processed = 0
     while processed < total or total == 0:
         if cancel is not None:
             cancel.check()  # type: ignore[attr-defined]
         chunk = work[processed : processed + chunk_size]
-        for group_key, sequence in chunk:
-            stats.add_scan()
-            for cell_key, contents in matcher.assignments(sequence).items():
-                accumulator = accumulators.get((group_key, cell_key))
-                if accumulator is None:
-                    accumulator = CellAccumulator(spec.aggregates)
-                    accumulators[(group_key, cell_key)] = accumulator
-                for content in contents:
-                    accumulator.add_assignment(db, sequence, content)
+        fold(db, spec.aggregates, matcher, chunk, stats, cells)
         processed += len(chunk)
-        partial = SCuboid(
-            spec, {key: acc.results() for key, acc in accumulators.items()}
-        )
+        partial = SCuboid(spec, finish(cells))
         yield OnlineEstimate(partial=partial, processed=processed, total=total)
         if total == 0:
             return

@@ -360,14 +360,16 @@ def build_index(
     is given, only those sequences are scanned; this implements the
     domain-restricted on-demand builds that make iterative II queries cheap.
     """
-    db = group.sequences[0].db if group.sequences else None
-    matcher = make_matcher(template, schema, db=db)
     lists: Dict[PatternValues, PostingList] = {}
     if restrict_sids is None:
         sequences = list(group)
     else:
         wanted = set(restrict_sids)
         sequences = [group.by_sid(sid) for sid in sorted(wanted)]
+    # An empty group has no sequence to take the database from, and
+    # nothing to list: it gets an empty index without a matcher.
+    if group.sequences:
+        matcher = make_matcher(template, group.sequences[0].db)
     # Sequences are visited in ascending sid order (group order is
     # formation order; the restricted path sorts), so appending builds
     # each posting list already sorted — no per-list sort pass needed.
@@ -497,13 +499,14 @@ def verify_index(
     """
     if index.verified:
         return index
-    db = group.sequences[0].db if group.sequences else None
-    matcher = make_matcher(index.template, schema, db=db)
     # Group the membership tests by sid so each sequence is scanned once.
     by_sid: Dict[int, List[PatternValues]] = {}
     for values, sids in index.lists.items():
         for sid in sids:
             by_sid.setdefault(sid, []).append(values)
+    # An empty group lists no sid and gets an empty index without a matcher.
+    if group.sequences:
+        matcher = make_matcher(index.template, group.sequences[0].db)
     # Ascending sid order keeps the surviving posting lists append-sorted.
     surviving: Dict[PatternValues, PostingList] = {}
     for sid in sorted(by_sid):

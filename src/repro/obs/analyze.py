@@ -155,15 +155,7 @@ def explain_analyze(
     else:
         plan.add(f"strategy: {chosen}", 1)
 
-    # -- matcher / join kernels actually used -----------------------------
-    kernel = stats.extra.get("matcher")
-    if kernel is not None:
-        label = {
-            "compiled": "compiled (dictionary-encoded)",
-            "legacy": "legacy (value-space)",
-            "fallback": "legacy (value-space; compile fell back)",
-        }.get(kernel, kernel)
-        plan.add(f"matcher kernel: {label}", 1)
+    # -- join kernel actually used ---------------------------------------
     join_kernel = stats.extra.get("join_kernel")
     if join_kernel is not None:
         plan.add(f"join intersection kernel: {join_kernel}", 1)

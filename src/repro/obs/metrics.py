@@ -564,16 +564,14 @@ def register_engine_metrics(registry: MetricsRegistry, engine) -> None:
 
     from repro.core.matcher import matcher_dispatch_counts
 
-    dispatch = registry.counter(
+    registry.counter(
         "solap_matcher_dispatch_total",
-        "Matchers constructed, by kernel outcome (compiled / legacy / "
-        "fallback); process-local — worker processes keep their own counts",
+        "Matchers constructed (every matcher is compiled into code space); "
+        "process-local — worker processes keep their own counts",
         labels=("kind",),
+    ).attach_callback(
+        lambda: matcher_dispatch_counts()["compiled"], "compiled"
     )
-    for kind in ("compiled", "legacy", "fallback"):
-        dispatch.attach_callback(
-            lambda k=kind: matcher_dispatch_counts().get(k, 0), kind
-        )
     registry.counter(
         "solap_engine_rows_aggregated_total",
         "Total result cells aggregated across all queries",

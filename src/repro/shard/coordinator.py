@@ -38,7 +38,6 @@ from typing import List, Optional
 
 from repro.core.counter_based import selected_sequences
 from repro.core.cuboid import SCuboid
-from repro.core.matcher import can_compile
 from repro.core.spec import CuboidSpec
 from repro.core.stats import QueryStats
 from repro.errors import NotMergeableError
@@ -216,10 +215,6 @@ class ScatterGatherCoordinator:
                 db, partials, self.backend.name, skew, merge_seconds
             )
             stats.extra["resource_profile"] = profile.to_dict()
-        if strategy == "cb":
-            stats.extra["matcher"] = (
-                "compiled" if can_compile(spec.template, db) else "legacy"
-            )
         return SCuboid(spec, cells)
 
 

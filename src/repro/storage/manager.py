@@ -248,7 +248,7 @@ class SegmentBackedDatabase(EventDatabase):
 
     Lazy everywhere: attaching maps the files and decodes nothing; a
     column materialises the first time something indexes it (predicates,
-    the legacy matcher, sequence ordering), while the encoded hot path
+    measure aggregates, sequence ordering), while the encoded hot path
     reads the uint32 columns directly and may never decode at all.
 
     Pickling is attach-by-path: workers receive the store's root and

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TemplateMatcher, build_sequence_groups
+from repro import build_sequence_groups
 from repro.core.spec import PatternKind
 from repro.index.bitmap import BitmapIndex, bitmap_join
 from repro.index.inverted import (
@@ -20,6 +20,7 @@ from tests.property.conftest import (
     shape_strategy,
     template_from,
 )
+from tests.reference_matcher import TemplateMatcher
 
 
 def single_group(db):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CellRestriction, TemplateMatcher, build_sequence_groups
+from repro import CellRestriction, build_sequence_groups
 from repro.core.spec import PatternKind
 from tests.property.conftest import (
     make_db,
@@ -11,6 +11,7 @@ from tests.property.conftest import (
     shape_strategy,
     template_from,
 )
+from tests.reference_matcher import TemplateMatcher
 
 
 def single_sequences(db):

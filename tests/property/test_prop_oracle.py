@@ -4,7 +4,8 @@ The oracle re-implements pattern grouping from the paper's definitions in
 the most naive possible way — enumerate every window (substring) or every
 index combination (subsequence) with itertools, apply symbol equality and
 restrictions by hand, and fold the cell restriction directly.  Any
-divergence between the optimised matcher and this oracle is a semantics
+divergence between the product matcher (compiled into code space by
+:func:`~repro.core.matcher.make_matcher`) and this oracle is a semantics
 bug, independent of the CB/II cross-check (which could in principle share
 a bug through the common matcher).
 """
@@ -15,7 +16,8 @@ from typing import Dict, List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CellRestriction, TemplateMatcher, build_sequence_groups
+from repro import CellRestriction, build_sequence_groups
+from repro.core.matcher import make_matcher
 from repro.core.spec import PatternKind, PatternTemplate
 from tests.property.conftest import (
     GROUP_OF,
@@ -96,7 +98,7 @@ LEVELS = st.sampled_from(["symbol", "group"])
 def test_matcher_agrees_with_oracle(sequences, shape, kind, level, restriction):
     db = make_db(sequences)
     template = template_from(shape, kind, level)
-    matcher = TemplateMatcher(template, db.schema, restriction)
+    matcher = make_matcher(template, db=db, restriction=restriction)
     groups = build_sequence_groups(db, None, [("seq", "seq")], [("ts", True)])
     for sequence in groups.all_sequences():
         raw_symbols = list(sequence.symbols("symbol", "symbol"))
@@ -122,9 +124,9 @@ def test_data_go_contents_are_whole_sequences(sequences, shape, kind):
     """Data-go agrees with left-maximality on cells, differs on contents."""
     db = make_db(sequences)
     template = template_from(shape, kind)
-    left = TemplateMatcher(template, db.schema, CellRestriction.LEFT_MAXIMALITY)
-    data = TemplateMatcher(
-        template, db.schema, CellRestriction.LEFT_MAXIMALITY_DATA
+    left = make_matcher(template, db=db)
+    data = make_matcher(
+        template, db=db, restriction=CellRestriction.LEFT_MAXIMALITY_DATA
     )
     groups = build_sequence_groups(db, None, [("seq", "seq")], [("ts", True)])
     for sequence in groups.all_sequences():

@@ -67,15 +67,13 @@ def _write_store(db, root):
 def test_segment_cb_equals_memory_cb(sequences, template, restriction):
     db = make_db(sequences)
     spec = replace(spec_for(template), restriction=restriction)
-    memory, memory_stats = _run(db, spec, "cb")
-    assert memory_stats.extra.get("matcher") == "compiled"
+    memory, __ = _run(db, spec, "cb")
     with tempfile.TemporaryDirectory() as tmp:
         manager = _write_store(db, Path(tmp) / "store")
         try:
-            segment, segment_stats = _run(manager.attach(), spec, "cb")
+            segment, __ = _run(manager.attach(), spec, "cb")
         finally:
             manager.close()
-    assert segment_stats.extra.get("matcher") == "compiled"
     assert segment.to_dict() == memory.to_dict()
 
 

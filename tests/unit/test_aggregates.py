@@ -1,9 +1,7 @@
 """Unit tests for aggregate accumulation."""
 
-import pytest
-
 from repro import AggregateScope, AggregateSpec, build_sequence_groups
-from repro.core.aggregates import CellAccumulator, merge_results, needs_contents
+from repro.core.aggregates import CellAccumulator, needs_contents
 from tests.conftest import make_figure8_db
 
 
@@ -86,35 +84,3 @@ class TestHelpers:
     def test_needs_contents(self):
         assert not needs_contents((AggregateSpec("COUNT"),))
         assert needs_contents((AggregateSpec("COUNT"), AggregateSpec("SUM", "amount")))
-
-    def test_merge_results_additive(self):
-        specs = (AggregateSpec("COUNT"), AggregateSpec("SUM", "amount"))
-        merged = merge_results(
-            specs,
-            [
-                {"COUNT(*)": 2, "SUM(amount)": -4.0},
-                {"COUNT(*)": 3, "SUM(amount)": -1.0},
-            ],
-        )
-        assert merged == {"COUNT(*)": 5, "SUM(amount)": -5.0}
-
-    def test_merge_results_min_max(self):
-        specs = (AggregateSpec("MIN", "amount"), AggregateSpec("MAX", "amount"))
-        merged = merge_results(
-            specs,
-            [
-                {"MIN(amount)": -4.0, "MAX(amount)": 0.0},
-                {"MIN(amount)": -1.0, "MAX(amount)": 3.0},
-            ],
-        )
-        assert merged == {"MIN(amount)": -4.0, "MAX(amount)": 3.0}
-
-    def test_merge_avg_rejected(self):
-        with pytest.raises(ValueError):
-            merge_results((AggregateSpec("AVG", "amount"),), [{"AVG(amount)": 1.0}])
-
-    def test_merge_empty_partials(self):
-        specs = (AggregateSpec("COUNT"), AggregateSpec("MIN", "amount"))
-        merged = merge_results(specs, [])
-        assert merged["COUNT(*)"] == 0
-        assert merged["MIN(amount)"] is None

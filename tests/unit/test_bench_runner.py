@@ -134,12 +134,12 @@ class TestLoad:
         doc = load(baseline)
         assert doc["quick"] is True
         # 8 workload sections + the schema-2 micro-bench sections
-        # (matcher_kernel_* and join_intersect_*) + the schema-3
+        # (matcher_kernel_compiled and join_intersect_*) + the schema-3
         # segment-store sections (storage_attach_* / storage_scan_*)
         # + the schema-4 scatter-gather sections (shards_scatter_gather_n*)
         # + the schema-5 tracing sections (tracing_overhead_*)
         # + the schema-6 semantic-cache sections (cache_replay_*)
-        assert len(doc["benchmarks"]) == 25
+        assert len(doc["benchmarks"]) == 24
         for name, record in doc["benchmarks"].items():
             assert record["p50_ms"] >= 0
             if name.startswith(("join_intersect_", "storage_attach_")):

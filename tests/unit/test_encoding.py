@@ -1,21 +1,27 @@
-"""Unit tests for dictionary encoding and the compiled-matcher dispatch."""
+"""Unit tests for dictionary encoding and the compiled matcher."""
 
 import pickle
 
 import pytest
 
-from repro import CellRestriction, PatternSymbol, build_sequence_groups
-from repro.core.matcher import (
-    CompiledMatcher,
-    TemplateMatcher,
-    can_compile,
-    kernel_mode,
-    make_matcher,
-    matcher_dispatch_counts,
+from repro import (
+    CellRestriction,
+    Dimension,
+    EventDatabase,
+    Hierarchy,
+    PatternSymbol,
+    SOLAPEngine,
+    SOLAPError,
+    Schema,
+    SchemaError,
+    build_sequence_groups,
 )
-from repro.core.stats import QueryStats
+from repro.core.matcher import CompiledMatcher, make_matcher, matcher_dispatch_counts
+from repro.core.spec import PatternKind
 from repro.events.encoding import DimensionDictionary, EncodedSequenceStore
 from tests.conftest import location_template, make_figure8_db
+from tests.property.conftest import GROUP_OF, make_db, spec_for, template_from
+from tests.reference_matcher import TemplateMatcher
 
 DOMAIN = ("location", "station")
 
@@ -105,63 +111,94 @@ class TestEncodedSequenceStore:
         clone.ensure_domain_complete(db, "location", "station")  # no-op, no error
 
 
+def _figure8_sequences(db):
+    groups = build_sequence_groups(
+        db, None, [("card", "card")], [("time", True)]
+    )
+    return list(groups.single_group())
+
+
+def _callable_within_db():
+    """A three-level hierarchy whose middle level maps by a callable."""
+    schema = Schema(
+        [
+            Dimension("seq"),
+            Dimension("ts"),
+            Dimension(
+                "symbol",
+                Hierarchy(
+                    "symbol",
+                    ("symbol", "group", "super"),
+                    {
+                        "group": GROUP_OF.__getitem__,
+                        "super": {value: "S" for value in GROUP_OF},
+                    },
+                ),
+            ),
+        ]
+    )
+    db = EventDatabase(schema)
+    for position, value in enumerate("abc"):
+        db.append({"seq": 0, "ts": position, "symbol": value})
+    return db
+
+
+def _xy(level="symbol"):
+    return template_from((0, 1), PatternKind.SUBSTRING, level)
+
+
+#: every template / data combination the code-space matcher cannot compile
+UNCOMPILABLE = {
+    "unknown-level": lambda: (
+        make_db([["a", "b"]]),
+        _xy().replace_symbol("X", PatternSymbol("X", "symbol", "galaxy")),
+    ),
+    "unmapped-value": lambda: (make_db([["a", "z"]]), _xy("group")),
+    "callable-within": lambda: (
+        _callable_within_db(),
+        _xy("group").replace_symbol(
+            "X", PatternSymbol("X", "symbol", "group", within=("super", "S"))
+        ),
+    ),
+    "unhashable-value": lambda: (make_db([["a", ["b"], "c"]]), _xy()),
+}
+
+
 class TestCompiledMatcherDispatch:
     def test_make_matcher_compiles_plain_template(self):
         db = make_figure8_db()
-        stats = QueryStats()
-        matcher = make_matcher(
-            location_template(("X", "Y")), db.schema, db=db, stats=stats
-        )
+        matcher = make_matcher(location_template(("X", "Y")), db)
         assert isinstance(matcher, CompiledMatcher)
-        assert stats.extra["matcher"] == "compiled"
-
-    def test_make_matcher_without_db_is_legacy(self):
-        db = make_figure8_db()
-        stats = QueryStats()
-        matcher = make_matcher(location_template(("X", "Y")), db.schema, stats=stats)
-        assert type(matcher) is TemplateMatcher
-        assert stats.extra["matcher"] == "legacy"
-
-    def test_kernel_mode_forces_legacy(self):
-        db = make_figure8_db()
-        with kernel_mode("legacy"):
-            assert not can_compile(location_template(("X", "Y")), db)
-            matcher = make_matcher(location_template(("X", "Y")), db.schema, db=db)
-            assert type(matcher) is TemplateMatcher
-        assert can_compile(location_template(("X", "Y")), db)
 
     def test_dispatch_counter_advances(self):
         db = make_figure8_db()
         before = matcher_dispatch_counts()["compiled"]
-        make_matcher(location_template(("X", "Y")), db.schema, db=db)
+        make_matcher(location_template(("X", "Y")), db)
         assert matcher_dispatch_counts()["compiled"] == before + 1
 
-    def test_uncompilable_template_falls_back(self):
-        """An unknown level makes the template uncompilable — make_matcher
-        must fall back to the legacy matcher, not raise."""
-        from repro.errors import SchemaError
-
-        db = make_figure8_db()
-        bad = location_template(("X", "Y")).replace_symbol(
-            "X", PatternSymbol("X", "location", "galaxy")
-        )
-        with pytest.raises(SchemaError):
-            db.schema.check_level("location", "galaxy")
-        stats = QueryStats()
-        matcher = make_matcher(bad, db.schema, db=db, stats=stats)
-        assert type(matcher) is TemplateMatcher
-        assert stats.extra["matcher"] == "fallback"
-        assert not can_compile(bad, db)
+    @pytest.mark.parametrize("strategy", ["cb", "ii"])
+    @pytest.mark.parametrize("case", sorted(UNCOMPILABLE))
+    def test_uncompilable_template_is_a_typed_error(self, case, strategy):
+        """Every template the matcher cannot compile fails the query with
+        a SOLAPError naming the symbol's attribute and level — never a
+        raw TypeError from deep inside the scan.  make_matcher itself
+        raises SchemaError for each case, even the unknown level that
+        spec validation catches first on the engine path."""
+        db, template = UNCOMPILABLE[case]()
+        level = repr(template.position_symbols()[0].level)
+        with pytest.raises(SOLAPError) as info:
+            SOLAPEngine(db).execute(spec_for(template), strategy)
+        assert "'symbol'" in str(info.value) and level in str(info.value)
+        with pytest.raises(SchemaError) as info:
+            make_matcher(template, db)
+        assert "'symbol'" in str(info.value) and level in str(info.value)
 
     def test_compiled_results_match_legacy(self):
         db = make_figure8_db()
-        groups = build_sequence_groups(
-            db, None, [("card", "card")], [("time", True)]
-        )
         template = location_template(("X", "Y", "X"))
-        compiled = make_matcher(template, db.schema, db=db)
+        compiled = make_matcher(template, db)
         legacy = TemplateMatcher(template, db.schema)
-        for sequence in groups.single_group():
+        for sequence in _figure8_sequences(db):
             assert compiled.assignments(sequence) == legacy.assignments(sequence)
             assert compiled.unique_instantiations(
                 sequence
@@ -169,14 +206,11 @@ class TestCompiledMatcherDispatch:
 
     def test_compiled_respects_restrictions(self):
         db = make_figure8_db()
-        groups = build_sequence_groups(
-            db, None, [("card", "card")], [("time", True)]
-        )
         template = location_template(("X", "Y"))
         for restriction in CellRestriction:
-            compiled = make_matcher(template, db.schema, restriction, db=db)
+            compiled = make_matcher(template, db, restriction)
             legacy = TemplateMatcher(template, db.schema, restriction)
-            for sequence in groups.single_group():
+            for sequence in _figure8_sequences(db):
                 assert compiled.assignments(sequence) == legacy.assignments(
                     sequence
                 )
@@ -185,14 +219,14 @@ class TestCompiledMatcherDispatch:
 class TestKeyInterning:
     def test_cell_key_returns_identical_object(self):
         db = make_figure8_db()
-        matcher = TemplateMatcher(location_template(("X", "Y")), db.schema)
+        matcher = make_matcher(location_template(("X", "Y")), db)
         first = matcher.cell_key(("Pentagon", "Wheaton"))
         second = matcher.cell_key(("Pentagon", "Wheaton"))
         assert first is second
 
     def test_positions_key_returns_identical_object(self):
         db = make_figure8_db()
-        matcher = TemplateMatcher(location_template(("X", "Y", "X")), db.schema)
+        matcher = make_matcher(location_template(("X", "Y", "X")), db)
         first = matcher.positions_key(("Pentagon", "Wheaton"))
         second = matcher.positions_key(("Pentagon", "Wheaton"))
         assert first is second

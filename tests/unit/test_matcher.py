@@ -8,13 +8,13 @@ from repro import (
     MatchingPredicate,
     PatternSymbol,
     PlaceholderField,
-    TemplateMatcher,
     build_sequence_groups,
 )
 from tests.conftest import (
     location_template,
     make_figure8_db,
 )
+from tests.reference_matcher import TemplateMatcher
 
 
 def get_sequences(db=None):

@@ -309,8 +309,7 @@ class TestIntegration:
         db, manager = store
         spec = _spec()
         memory, __ = SOLAPEngine(db).execute(spec, "cb")
-        segment, stats = SOLAPEngine(manager.attach()).execute(spec, "cb")
-        assert stats.extra.get("matcher") == "compiled"
+        segment, __ = SOLAPEngine(manager.attach()).execute(spec, "cb")
         assert segment.to_dict() == memory.to_dict()
 
     def test_attach_store_after_close_reopens(self, store, tmp_path):

@@ -11,7 +11,6 @@ from repro import (
     PlaceholderField,
     SOLAPEngine,
     SpecError,
-    TemplateMatcher,
     build_sequence_groups,
 )
 from repro.core import operations as ops
@@ -23,6 +22,7 @@ from repro.core.spec import (
 )
 from repro.ql import format_spec, parse_query
 from tests.conftest import figure8_spec, make_figure8_db
+from tests.reference_matcher import TemplateMatcher
 
 
 def x_any_y_template(kind=PatternKind.SUBSTRING) -> PatternTemplate:
