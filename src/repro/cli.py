@@ -15,9 +15,11 @@ Subcommands:
   service and print its metrics report (latency histogram, cache hit
   ratios, session/eviction counters) as text, JSON, or Prometheus text
   format (``--format prom``);
-* ``serve-metrics`` — run a workload through the service while serving
-  ``/metrics`` (Prometheus), ``/healthz`` and ``/varz`` over HTTP, with
-  optional structured JSON query logging and slow-query capture;
+* ``serve`` — serve queries over HTTP+JSON (sessions, async jobs,
+  streamed results) together with ``/metrics`` (Prometheus),
+  ``/healthz``, ``/varz`` and ``/debug/traces`` on the same port,
+  optionally warmed by a workload of query files, with structured JSON
+  query logging and slow-query capture;
 * ``segment`` — manage mmap-attachable columnar segment stores
   (``write`` a dataset into segments, ``info`` a store, ``verify``
   checksums and structure).
@@ -33,7 +35,7 @@ Example::
     solap segment write data/transit data/transit-seg
     solap query data/transit-seg examples/q1.solap --backend process --shards 4 --workers 4
     solap service-stats data/transit examples/q1.solap --repeat 3
-    solap serve-metrics data/transit examples/q1.solap --port 9464
+    solap serve data/transit examples/q1.solap --port 8080 --repeat 2
 """
 
 from __future__ import annotations
@@ -234,56 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
         "text exposition (scrapeable without the HTTP endpoint)",
     )
 
-    serve = sub.add_parser(
-        "serve-metrics",
-        help="serve /metrics, /healthz and /varz while running a workload",
-    )
-    serve.add_argument("dataset", help="dataset directory")
-    serve.add_argument(
-        "queryfiles",
-        nargs="*",
-        help="workload query files run through the service (optional)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=9464,
-        help="exporter port (0 binds an ephemeral port)",
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--strategy", choices=("auto", "cb", "ii", "cost"), default="auto"
-    )
-    serve.add_argument(
-        "--repeat", type=int, default=1,
-        help="passes over the workload before settling into serving",
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="keep serving this long after the workload, then exit "
-        "(default: serve until interrupted)",
-    )
-    serve.add_argument(
-        "--slow-query",
-        type=_positive_seconds,
-        default=None,
-        metavar="SECONDS",
-        help="emit a slow_query log record (with the EXPLAIN ANALYZE "
-        "plan) for queries slower than this",
-    )
-    serve.add_argument(
-        "--log-json",
-        action="store_true",
-        help="emit structured JSON query-lifecycle logs on stderr",
-    )
-
     serve_api = sub.add_parser(
         "serve",
         help="serve S-OLAP queries over HTTP+JSON (sessions, async "
         "submit/poll/cancel, streamed progressive results)",
     )
     serve_api.add_argument("dataset", help="dataset directory")
+    serve_api.add_argument(
+        "queryfiles",
+        nargs="*",
+        help="workload query files run through the service once the "
+        "server is up (optional)",
+    )
+    serve_api.add_argument(
+        "--repeat", type=int, default=1,
+        help="passes over the workload before settling into serving",
+    )
     serve_api.add_argument(
         "--port", type=int, default=8080,
         help="listen port (0 binds an ephemeral port, printed at start)",
@@ -427,9 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--server",
-        default="http://127.0.0.1:9464",
-        help="base URL of the service's metrics exporter "
-        "(for --recent / --id)",
+        default="http://127.0.0.1:8080",
+        help="base URL of a running `solap serve` (for --recent / --id)",
     )
     trace.add_argument(
         "--limit",
@@ -639,7 +606,7 @@ def _cmd_service_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     db = _load_db(args.dataset)
@@ -647,46 +614,6 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
         parse_query(Path(path).read_text(), db.schema)
         for path in args.queryfiles
     ]
-    if args.log_json:
-        from repro.obs.logging import configure_logging
-
-        configure_logging(stream=sys.stderr)
-    config = ServiceConfig(
-        expose_metrics_port=args.port,
-        metrics_host=args.host,
-        slow_query_seconds=args.slow_query,
-    )
-    with QueryService(db, config) as service:
-        server = service.metrics_server
-        assert server is not None  # expose_metrics_port was set above
-        print(
-            f"serving telemetry on {server.url} "
-            "(/metrics /healthz /varz)"
-        )
-        for __ in range(max(args.repeat, 1)):
-            for spec in specs:
-                service.execute(spec, args.strategy)
-        if specs:
-            print(
-                f"workload done: {service.metrics['queries_ok']} ok, "
-                f"{service.metrics['queries_failed']} failed"
-            )
-        try:
-            if args.duration is not None:
-                time.sleep(args.duration)
-            else:
-                print("serving until interrupted (Ctrl-C to exit)")
-                while True:
-                    time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
-    db = _load_db(args.dataset)
     if args.log_json:
         from repro.obs.logging import configure_logging
 
@@ -713,6 +640,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         try:
+            for __ in range(max(args.repeat, 1)):
+                for spec in specs:
+                    service.execute(spec, "auto")
+            if specs:
+                print(
+                    f"workload done: {service.metrics['queries_ok']} ok, "
+                    f"{service.metrics['queries_failed']} failed",
+                    flush=True,
+                )
             if args.duration is not None:
                 time.sleep(args.duration)
             else:
@@ -912,7 +848,6 @@ _COMMANDS = {
     "advise": _cmd_advise,
     "service-stats": _cmd_service_stats,
     "serve": _cmd_serve,
-    "serve-metrics": _cmd_serve_metrics,
     "segment": _cmd_segment,
     "trace": _cmd_trace,
 }

@@ -1,4 +1,4 @@
-"""Observability: tracing, EXPLAIN ANALYZE, metrics, logs, and /metrics.
+"""Observability: tracing, EXPLAIN ANALYZE, metrics and logs.
 
 The package has two per-query layers and three fleet-level ones:
 
@@ -20,15 +20,11 @@ The package has two per-query layers and three fleet-level ones:
 * :mod:`repro.obs.logging` — structured JSON logging of query-lifecycle
   events (stdlib :mod:`logging` underneath) with slow-query capture that
   embeds the EXPLAIN ANALYZE plan.
-* :mod:`repro.obs.httpd` — a stdlib HTTP exporter serving ``/metrics``
-  (Prometheus text), ``/healthz``, ``/varz`` (JSON snapshot) and the
-  flight recorder's ``/debug/traces`` routes.
 * :mod:`repro.obs.profile` / :mod:`repro.obs.recorder` — per-query
   resource profiles aggregated from worker span trees, and the bounded
   ring buffer of recent completed query traces behind ``solap trace``.
 """
 
-from repro.obs.httpd import MetricsServer
 from repro.obs.logging import JsonLineFormatter, QueryLogger, configure_logging
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -74,7 +70,6 @@ __all__ = [
     "GLOBAL_REGISTRY",
     "JsonLineFormatter",
     "MetricsRegistry",
-    "MetricsServer",
     "NULL_SPAN",
     "QueryLogger",
     "RemoteSpanCollector",

@@ -44,7 +44,7 @@ from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: default histogram bucket upper bounds in seconds (log-ish spacing,
-#: +inf last) — also exported as LATENCY_BUCKETS from repro.service.metrics
+#: +inf last)
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, float("inf"),
@@ -59,8 +59,8 @@ LabelValues = Tuple[str, ...]
 class BucketHistogram:
     """Fixed-bucket histogram of durations in seconds.
 
-    The canonical implementation behind both the registry's histogram
-    instruments and the service layer's ``LatencyHistogram`` alias.
+    The one implementation behind the registry's histogram instruments
+    and the service's latency summaries.
     """
 
     def __init__(self, buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS):

@@ -10,7 +10,7 @@ sampled or explicitly requested — lands in a thread-safe ring buffer of
 
 Entries are browsable three ways:
 
-* ``GET /debug/traces`` on the metrics exporter — newest-first summary
+* ``GET /debug/traces`` on ``solap serve`` — newest-first summary
   list (``?limit=N``);
 * ``GET /debug/traces/<id>`` — one full entry: the ``trace_schema`` 2
   span tree, the query's stats, the resource profile, and the rendered

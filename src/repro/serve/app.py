@@ -1,10 +1,10 @@
-"""The HTTP+JSON query serving front-end over one :class:`QueryService`.
+"""The HTTP+JSON front-end over one :class:`QueryService`.
 
 ``solap serve`` binds a :class:`SolapServer`: a stdlib
-``ThreadingHTTPServer`` (one daemon handler thread per connection, same
-plumbing as :class:`repro.obs.httpd.MetricsServer`, whose telemetry
-routes are mounted unchanged) speaking the textual query language on the
-way in and JSON on the way out.
+``ThreadingHTTPServer`` (one daemon handler thread per connection)
+speaking the textual query language on the way in and JSON on the way
+out.  It is the only HTTP server in the package: the query API and the
+telemetry routes share one route table.
 
 Routes (see ``docs/serving.md`` for the full reference):
 
@@ -20,10 +20,17 @@ Routes (see ``docs/serving.md`` for the full reference):
   encoding: one JSON line per
   :class:`~repro.extensions.online_agg.OnlineEstimate`, terminated by
   the exact final frame (bit-identical to the blocking path);
-* ``GET /metrics`` / ``/healthz`` / ``/varz`` / ``/debug/traces`` — the
-  metrics exporter's routes, served from the same port.
+* ``GET /v1/stats`` and ``GET /varz`` — the service snapshot (JSON);
+* ``GET /metrics`` — the registry in Prometheus text exposition format;
+* ``GET /healthz`` — ``200 {"status": "ok"}``, ``503`` once the service
+  is closed;
+* ``GET /debug/traces`` — newest-first flight-recorder summaries
+  (``?limit=N``, ``N >= 1``) and ``GET /debug/traces/<id>`` for one
+  recorded trace; 404 when the recorder is disabled.
 
-Every request lands in the shared metrics registry
+Each request is parsed once — ``urlsplit``, trailing slash stripped,
+``parse_qsl(..., keep_blank_values=True)`` — and whatever its method it
+lands in the shared metrics registry
 (``solap_http_requests_total{route,method,status}``,
 ``solap_http_request_seconds{route}``,
 ``solap_http_stream_frames_total``) and emits an ``http_request``
@@ -33,12 +40,14 @@ same tools as the engine underneath it.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import threading
 import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import (
@@ -48,12 +57,6 @@ from repro.errors import (
     SessionNotFoundError,
     SOLAPError,
     SpecError,
-)
-from repro.obs.httpd import (
-    CLIENT_DISCONNECT_ERRORS,
-    JSON_CONTENT_TYPE,
-    MetricsServer,
-    SingleSendHandler,
 )
 from repro.obs.spans import span
 from repro.ql import format_spec, parse_query
@@ -65,29 +68,129 @@ from repro.service.service import QueryService
 #: request bodies larger than this are rejected outright (HTTP 413)
 MAX_BODY_BYTES = 1 << 20
 
+JSON_CONTENT_TYPE = "application/json"
+
+#: content type of the Prometheus text exposition format
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
 #: content type of streamed progressive results (one JSON doc per line)
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
-#: telemetry paths delegated verbatim to the metrics exporter plumbing
-_METRICS_PATHS = ("/metrics", "/healthz", "/varz", "/debug/traces")
+#: errors meaning "the client hung up mid-response": nothing can be sent
+#: back on that socket, so handlers drop the response instead of crashing
+#: the handler thread (and never try to write a 500 to the dead socket)
+CLIENT_DISCONNECT_ERRORS = (BrokenPipeError, ConnectionResetError)
+
+#: methods some route implements; after replying to any other method the
+#: connection closes (a HEAD reply carries a body the client will not read)
+_IMPLEMENTED_METHODS = ("GET", "POST", "DELETE")
+
+#: method label values; anything else is counted as "other"
+_HTTP_METHODS = _IMPLEMENTED_METHODS + (
+    "HEAD", "PUT", "PATCH", "OPTIONS", "TRACE", "CONNECT"
+)
+
+#: metric labels of the per-resource route patterns (the rest are their
+#: own label; an unknown path is "other")
+_ROUTE_LABELS = {
+    "/v1/sessions/<id>": "/v1/sessions/*",
+    "/v1/queries/<id>": "/v1/queries/*",
+    "/v1/queries/<id>/cancel": "/v1/queries/*/cancel",
+    "/debug/traces/<id>": "/debug/traces",
+}
 
 
-def _route_label(path: str) -> str:
-    """Collapse per-resource paths onto bounded metric label values."""
-    if path.startswith("/v1/sessions"):
-        return "/v1/sessions" if path == "/v1/sessions" else "/v1/sessions/*"
-    if path.startswith("/v1/queries"):
-        if path == "/v1/queries":
-            return "/v1/queries"
-        return (
-            "/v1/queries/*/cancel"
-            if path.endswith("/cancel")
-            else "/v1/queries/*"
-        )
-    if path.startswith("/debug/traces"):
-        return "/debug/traces"
-    known = ("/v1/stream", "/v1/stats", "/metrics", "/healthz", "/varz")
-    return path if path in known else "other"
+def _match(path: str) -> Tuple[str, str]:
+    """(route pattern, resource id) of a normalised path; the id may be ''."""
+    for prefix in ("/v1/sessions/", "/v1/queries/", "/debug/traces/"):
+        if path.startswith(prefix):
+            resource, slash, action = path[len(prefix):].partition("/")
+            return f"{prefix}<id>{slash}{action}", resource
+    return path, ""
+
+
+class _SendOnFlush(io.RawIOBase):
+    """A handler ``wfile`` that hands the kernel one ``sendall`` per flush.
+
+    The stdlib's unbuffered writer sends headers and body separately; on
+    a keep-alive connection the second small segment then waits (Nagle)
+    for the client's delayed ACK of the first, about 40 ms a request.
+    An ``io.BufferedWriter`` would still split a response larger than
+    its buffer, so this keeps whatever was written until ``flush``.
+    """
+
+    def __init__(self, sock):
+        self._sock = sock
+        self._parts: List[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self._parts.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        if self._parts:
+            # emptied first: a failed send drops the response, so the
+            # flush in close() cannot raise a second time
+            data, self._parts = b"".join(self._parts), []
+            self._sock.sendall(data)
+
+
+class SingleSendHandler(BaseHTTPRequestHandler):
+    """Request handler base: one send per flushed response.
+
+    ``TCP_NODELAY`` is set on the accepted socket as well, because the
+    frames of a chunked stream are smaller than the loopback MSS and
+    would otherwise each wait for the ACK of the one before.
+    """
+
+    # HTTP/1.1 enables chunked transfer encoding (streams) and
+    # connection keep-alive for polling clients.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _SendOnFlush(self.connection)
+
+    def handle_expect_100(self) -> bool:
+        proceed = super().handle_expect_100()
+        self.wfile.flush()  # the client holds its body back until this arrives
+        return proceed
+
+    def log_message(self, *args) -> None:
+        pass  # per-request lines on stderr; the server logs structured events
+
+
+def respond(
+    request: BaseHTTPRequestHandler,
+    status: int,
+    content_type: str,
+    body: bytes,
+) -> int:
+    """Write one whole response and flush it once; returns the status sent.
+
+    On a :class:`SingleSendHandler` status line, headers and body reach
+    the kernel in one ``sendall``.  A response after which the server
+    closes the connection says so (``Connection: close``).  A client that
+    hung up (the error surfaces at flush time on a buffered ``wfile``)
+    gets nothing — retrying on the dead socket would only re-raise and
+    kill the handler thread — and the status reported is 0.
+    """
+    try:
+        request.send_response(status)
+        request.send_header("Content-Type", content_type)
+        request.send_header("Content-Length", str(len(body)))
+        if request.close_connection:
+            request.send_header("Connection", "close")
+        request.end_headers()
+        request.wfile.write(body)
+        request.wfile.flush()
+    except CLIENT_DISCONNECT_ERRORS:
+        return 0
+    return status
 
 
 class SolapServer:
@@ -104,14 +207,26 @@ class SolapServer:
         self.host = host
         self.port = port
         self.jobs = JobRegistry(service, history_limit=job_history_limit)
-        #: the telemetry routes, reused unstarted: its ``_handle`` serves
-        #: /metrics, /healthz, /varz and /debug/traces on this port
-        self._telemetry = MetricsServer(
-            service.registry,
-            health_callback=lambda: not service._closed,
-            varz_callback=service.snapshot,
-            recorder=service.recorder,
-        )
+        #: the route table: pattern -> {method: handler}; every handler
+        #: takes (request, resource id, query params) and returns the
+        #: status it sent
+        self._routes = {
+            "/v1/sessions": {"POST": self._open_session},
+            "/v1/sessions/<id>": {
+                "GET": self._describe_session,
+                "DELETE": self._close_session,
+            },
+            "/v1/queries": {"POST": self._submit_query},
+            "/v1/queries/<id>": {"GET": self._poll_query},
+            "/v1/queries/<id>/cancel": {"POST": self._cancel_query},
+            "/v1/stream": {"POST": self._stream_query},
+            "/v1/stats": {"GET": self._snapshot},
+            "/varz": {"GET": self._snapshot},
+            "/metrics": {"GET": self._metrics},
+            "/healthz": {"GET": self._healthz},
+            "/debug/traces": {"GET": self._traces},
+            "/debug/traces/<id>": {"GET": self._traces},
+        }
         registry = service.registry
         self._requests = registry.counter(
             "solap_http_requests_total",
@@ -141,7 +256,7 @@ class SolapServer:
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
-    # Lifecycle (same shape as MetricsServer)
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "SolapServer":
         """Bind and serve on a daemon thread; returns self (idempotent)."""
@@ -150,18 +265,11 @@ class SolapServer:
         owner = self
 
         class Handler(SingleSendHandler):
-            # HTTP/1.1 enables chunked transfer encoding (streams) and
-            # connection keep-alive for polling clients.
-            protocol_version = "HTTP/1.1"
-
-            def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-                owner._dispatch(self, "GET")
-
-            def do_POST(self) -> None:  # noqa: N802
-                owner._dispatch(self, "POST")
-
-            def do_DELETE(self) -> None:  # noqa: N802
-                owner._dispatch(self, "DELETE")
+            def __getattr__(self, name: str):
+                # do_GET, do_HEAD, do_PUT, ...: every method is dispatched
+                if name.startswith("do_"):
+                    return functools.partial(owner._dispatch, self, name[3:])
+                raise AttributeError(name)
 
         self._httpd = ThreadingHTTPServer((self.host, self.port), Handler)
         self._httpd.daemon_threads = True
@@ -207,16 +315,34 @@ class SolapServer:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, request: BaseHTTPRequestHandler, method: str) -> None:
-        """Route one request; all accounting and error mapping lives here."""
+        """Route one request; parsing, accounting and error mapping live here."""
         parts = urlsplit(request.path)
         path = parts.path.rstrip("/") or "/"
-        params = dict(parse_qsl(parts.query))
-        route = _route_label(path)
+        params = dict(parse_qsl(parts.query, keep_blank_values=True))
+        pattern, resource = _match(path)
+        handlers = self._routes.get(pattern)
+        route = "other" if handlers is None else _ROUTE_LABELS.get(pattern, pattern)
+        if method not in _IMPLEMENTED_METHODS:
+            request.close_connection = True
+            if method not in _HTTP_METHODS:
+                method = "other"
         started = time.perf_counter()
         status = 500
         try:
             with span("http.request", route=route, method=method):
-                status = self._route(request, method, path, params)
+                if handlers is None:
+                    status = self._send_error(
+                        request, 404, f"unknown path {path!r}",
+                        paths=list(self._routes),
+                    )
+                elif method not in handlers:
+                    status = self._send_error(
+                        request, 405,
+                        f"{method} not allowed on {pattern}: "
+                        f"use {' or '.join(handlers)}",
+                    )
+                else:
+                    status = handlers[method](request, resource, params)
         except CLIENT_DISCONNECT_ERRORS:
             # Satellite contract: a client hanging up mid-write must
             # never crash the handler thread (nor be answered — there is
@@ -251,73 +377,47 @@ class SolapServer:
                 duration_ms=round(elapsed * 1000.0, 3),
             )
 
-    def _route(
-        self,
-        request: BaseHTTPRequestHandler,
-        method: str,
-        path: str,
-        params: dict,
-    ) -> int:
-        """Returns the response status (raises for mapped error classes)."""
-        if path in _METRICS_PATHS or path.startswith("/debug/traces/"):
-            if method != "GET":
+    # ------------------------------------------------------------------
+    # Telemetry routes
+    # ------------------------------------------------------------------
+    def _metrics(self, request, resource: str, params: dict) -> int:
+        body = self.service.registry.render_prometheus().encode("utf-8")
+        return respond(request, 200, PROMETHEUS_CONTENT_TYPE, body)
+
+    def _healthz(self, request, resource: str, params: dict) -> int:
+        if self.service._closed:
+            return self._send_json(request, 503, {"status": "unhealthy"})
+        return self._send_json(request, 200, {"status": "ok"})
+
+    def _snapshot(self, request, resource: str, params: dict) -> int:
+        return self._send_json(request, 200, self.service.snapshot())
+
+    def _traces(self, request, resource: str, params: dict) -> int:
+        """The flight recorder: summaries, or one entry when *resource* is set."""
+        recorder = self.service.recorder
+        if recorder is None:
+            return self._send_error(request, 404, "flight recorder not enabled")
+        if resource:
+            entry = recorder.get(resource)
+            if entry is None:
                 return self._send_error(
-                    request, 405, f"{method} not allowed on {path}"
+                    request, 404, f"no recorded trace {resource!r}"
                 )
-            return self._telemetry._handle(request)
-        if path == "/v1/stats":
-            if method != "GET":
-                return self._send_error(request, 405, "use GET /v1/stats")
-            return self._send_json(request, 200, self.service.snapshot())
-        if path == "/v1/sessions" and method == "POST":
-            return self._open_session(request)
-        if path.startswith("/v1/sessions/"):
-            session_id = path[len("/v1/sessions/"):]
-            if method == "DELETE":
-                return self._close_session(request, session_id)
-            if method == "GET":
-                return self._describe_session(request, session_id)
-            return self._send_error(
-                request, 405, "use GET or DELETE on /v1/sessions/<id>"
-            )
-        if path == "/v1/queries" and method == "POST":
-            return self._submit_query(request)
-        if path.startswith("/v1/queries/"):
-            rest = path[len("/v1/queries/"):]
-            if rest.endswith("/cancel") and method == "POST":
-                return self._cancel_query(request, rest[: -len("/cancel")])
-            if method == "GET" and "/" not in rest:
-                return self._poll_query(request, rest, params)
-            return self._send_error(
-                request,
-                405,
-                "use GET /v1/queries/<id> or POST /v1/queries/<id>/cancel",
-            )
-        if path == "/v1/stream" and method == "POST":
-            return self._stream_query(request)
-        return self._send_error(
-            request,
-            404,
-            f"unknown path {path!r}",
-            paths=[
-                "/v1/sessions",
-                "/v1/sessions/<id>",
-                "/v1/queries",
-                "/v1/queries/<id>",
-                "/v1/queries/<id>/cancel",
-                "/v1/stream",
-                "/v1/stats",
-                "/metrics",
-                "/healthz",
-                "/varz",
-                "/debug/traces",
-            ],
+            return self._send_json(request, 200, entry)
+        limit = codecs.parse_int_param(params, "limit", 20)
+        if limit < 1:
+            # limit=0 / negative limits are requests the caller never
+            # meant: rejected like any other malformed limit, never
+            # silently clamped.
+            raise ValueError(f"bad limit {limit!r}: must be >= 1")
+        return self._send_json(
+            request, 200, {"traces": recorder.recent(limit=limit)}
         )
 
     # ------------------------------------------------------------------
     # Session routes
     # ------------------------------------------------------------------
-    def _open_session(self, request: BaseHTTPRequestHandler) -> int:
+    def _open_session(self, request, resource: str, params: dict) -> int:
         doc = self._read_json(request)
         ql = doc.get("ql")
         if not isinstance(ql, str) or not ql.strip():
@@ -335,9 +435,7 @@ class SolapServer:
             {"session_id": session_id, "ql": format_spec(spec)},
         )
 
-    def _describe_session(
-        self, request: BaseHTTPRequestHandler, session_id: str
-    ) -> int:
+    def _describe_session(self, request, session_id: str, params: dict) -> int:
         entry = self.service.sessions.get(session_id)
         return self._send_json(
             request,
@@ -354,9 +452,7 @@ class SolapServer:
             },
         )
 
-    def _close_session(
-        self, request: BaseHTTPRequestHandler, session_id: str
-    ) -> int:
+    def _close_session(self, request, session_id: str, params: dict) -> int:
         closed = self.service.close_session(session_id)
         if not closed:
             raise SessionNotFoundError(f"no session {session_id!r}")
@@ -388,7 +484,7 @@ class SolapServer:
         spec = parse_query(ql, self.service.engine.db.schema)
         return spec, None, strategy.lower()
 
-    def _submit_query(self, request: BaseHTTPRequestHandler) -> int:
+    def _submit_query(self, request, resource: str, params: dict) -> int:
         doc = self._read_json(request)
         spec, session_id, strategy = self._resolve_spec(doc)
         timeout = codecs.parse_timeout(doc)
@@ -400,9 +496,7 @@ class SolapServer:
         )
         return self._send_json(request, 202, job.describe())
 
-    def _poll_query(
-        self, request: BaseHTTPRequestHandler, job_id: str, params: dict
-    ) -> int:
+    def _poll_query(self, request, job_id: str, params: dict) -> int:
         job = self.jobs.get(job_id)
         # validated on every poll: a bad window is a 400 whether or not
         # the job has finished yet
@@ -413,7 +507,7 @@ class SolapServer:
         body = self._encoded_cuboid(job.result).page_body(
             doc, offset, limit, {"stats": codecs.encode_stats(job.stats)}
         )
-        return MetricsServer._respond(request, 200, JSON_CONTENT_TYPE, body)
+        return respond(request, 200, JSON_CONTENT_TYPE, body)
 
     def _encoded_cuboid(self, cuboid) -> codecs.EncodedCuboid:
         """The cuboid's wire form, encoded on first use only.
@@ -429,16 +523,14 @@ class SolapServer:
             )
         return encoded
 
-    def _cancel_query(
-        self, request: BaseHTTPRequestHandler, job_id: str
-    ) -> int:
+    def _cancel_query(self, request, job_id: str, params: dict) -> int:
         job = self.jobs.cancel(job_id)
         return self._send_json(request, 200, job.describe())
 
     # ------------------------------------------------------------------
     # Streaming route
     # ------------------------------------------------------------------
-    def _stream_query(self, request: BaseHTTPRequestHandler) -> int:
+    def _stream_query(self, request, resource: str, params: dict) -> int:
         doc = self._read_json(request)
         spec, session_id, __ = self._resolve_spec(doc)
         chunk_size = codecs.parse_positive_int(doc, "chunk_size", 256)
@@ -527,9 +619,7 @@ class SolapServer:
     def _send_json(
         self, request: BaseHTTPRequestHandler, status: int, doc: object
     ) -> int:
-        return MetricsServer._respond(
-            request, status, JSON_CONTENT_TYPE, codecs.dumps(doc)
-        )
+        return respond(request, status, JSON_CONTENT_TYPE, codecs.dumps(doc))
 
     def _send_error(
         self,

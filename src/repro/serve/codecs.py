@@ -219,22 +219,29 @@ def error_doc(message: str, **fields) -> dict:
     return doc
 
 
+def parse_int_param(params: Dict[str, str], key: str, default: int) -> int:
+    """One integer query parameter; absent → *default*.
+
+    A present but non-numeric value — an empty one (``?limit=``)
+    included — raises :class:`ValueError` (the app maps it to a 400).
+    """
+    raw = params.get(key)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"bad {key} {raw!r}: not an integer")
+
+
 def parse_page_params(params: Dict[str, str]) -> Tuple[int, int]:
     """``offset``/``limit`` query parameters → validated ints.
 
     Raises :class:`ValueError` with a client-displayable message for
     non-numeric, negative-offset or out-of-range-limit values.
     """
-    raw_offset = params.get("offset", "0")
-    raw_limit = params.get("limit", str(DEFAULT_PAGE_LIMIT))
-    try:
-        offset = int(raw_offset)
-    except ValueError:
-        raise ValueError(f"bad offset {raw_offset!r}: not an integer")
-    try:
-        limit = int(raw_limit)
-    except ValueError:
-        raise ValueError(f"bad limit {raw_limit!r}: not an integer")
+    offset = parse_int_param(params, "offset", 0)
+    limit = parse_int_param(params, "limit", DEFAULT_PAGE_LIMIT)
     page_window(0, offset, limit)  # the range checks live there
     return offset, limit
 

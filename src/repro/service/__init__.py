@@ -8,7 +8,7 @@ management, and lightweight metrics.  See ``docs/service.md``.
 
 from repro.service.config import EXECUTOR_BACKENDS, ServiceConfig
 from repro.service.deadline import Deadline
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.parallel import (
     ExecutorBackend,
     ProcessExecutorBackend,
@@ -23,7 +23,6 @@ __all__ = [
     "Deadline",
     "EXECUTOR_BACKENDS",
     "ExecutorBackend",
-    "LatencyHistogram",
     "ProcessExecutorBackend",
     "QueryService",
     "SESSION_OPERATIONS",

@@ -57,11 +57,6 @@ class ServiceConfig:
     index_byte_budget: Optional[int] = None
     #: history entries kept per session (spec/stats pairs)
     session_history_limit: int = 32
-    #: serve /metrics, /healthz and /varz on this port (None = no HTTP
-    #: exporter; 0 = bind an ephemeral port, see service.metrics_server.port)
-    expose_metrics_port: Optional[int] = None
-    #: interface the metrics exporter binds to
-    metrics_host: str = "127.0.0.1"
     #: wall-time threshold above which a query emits a ``slow_query`` log
     #: record with its EXPLAIN ANALYZE plan embedded (None = disabled).
     #: Setting this also runs every query under tracing so the plan is
@@ -105,10 +100,6 @@ class ServiceConfig:
             raise ValueError("default_timeout_seconds must be > 0 or None")
         if self.index_byte_budget is not None and self.index_byte_budget < 0:
             raise ValueError("index_byte_budget must be >= 0 or None")
-        if self.expose_metrics_port is not None and not (
-            0 <= self.expose_metrics_port <= 65535
-        ):
-            raise ValueError("expose_metrics_port must be in [0, 65535] or None")
         if self.slow_query_seconds is not None and self.slow_query_seconds < 0:
             raise ValueError("slow_query_seconds must be >= 0 or None")
         if self.flight_recorder_capacity < 0:

@@ -1,12 +1,9 @@
 """Service observability, backed by the shared metrics registry.
 
-Historically this module kept private counter dicts and histograms; it is
-now a thin façade over :class:`repro.obs.metrics.MetricsRegistry`, so the
-same state that feeds ``solap service-stats`` is scrapeable from
-``/metrics`` in Prometheus text format (see :mod:`repro.obs.httpd`) with
-no double bookkeeping.  The histogram implementation lives in
-:mod:`repro.obs.metrics` as :class:`~repro.obs.metrics.BucketHistogram`;
-``LatencyHistogram`` remains this module's public name for it.
+A thin façade over :class:`repro.obs.metrics.MetricsRegistry` that owns
+the service's instrument names and the ``solap service-stats`` text
+report, so the same state is scrapeable from ``GET /metrics`` on
+``solap serve`` (see :mod:`repro.serve.app`) with no double bookkeeping.
 """
 
 from __future__ import annotations
@@ -14,17 +11,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    BucketHistogram,
-    MetricsRegistry,
-)
-
-#: histogram bucket upper bounds in seconds (log-ish spacing, +inf last)
-LATENCY_BUCKETS: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-
-#: the canonical fixed-bucket histogram (kept under its historical name)
-LatencyHistogram = BucketHistogram
+from repro.obs.metrics import BucketHistogram, MetricsRegistry
 
 
 #: the counters every service exports (created eagerly so snapshots are

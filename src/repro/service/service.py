@@ -51,7 +51,6 @@ from repro.errors import (
 )
 from repro.events.database import EventDatabase
 from repro.extensions.online_agg import OnlineEstimate, online_cuboid
-from repro.obs.httpd import MetricsServer
 from repro.obs.logging import QueryLogger
 from repro.obs.metrics import MetricsRegistry, register_engine_metrics
 from repro.obs.recorder import FlightRecorder
@@ -92,7 +91,6 @@ class QueryService:
         config: Optional[ServiceConfig] = None,
         *,
         registry: Optional[MetricsRegistry] = None,
-        expose_metrics_port: Optional[int] = None,
         query_logger: Optional[QueryLogger] = None,
     ):
         self.config = config or ServiceConfig()
@@ -170,22 +168,6 @@ class QueryService:
             "solap_service_inflight_requests",
             "Requests currently running or queued for admission",
         ).set_function(lambda: self._inflight)
-        #: /metrics exporter, when configured (constructor kwarg wins)
-        self.metrics_server: Optional[MetricsServer] = None
-        port = (
-            expose_metrics_port
-            if expose_metrics_port is not None
-            else self.config.expose_metrics_port
-        )
-        if port is not None:
-            self.metrics_server = MetricsServer(
-                self.registry,
-                host=self.config.metrics_host,
-                port=port,
-                health_callback=lambda: not self._closed,
-                varz_callback=self.snapshot,
-                recorder=self.recorder,
-            ).start()
 
     @property
     def inflight(self) -> int:
@@ -662,8 +644,6 @@ class QueryService:
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work and release the shard backend (idempotent)."""
         self._closed = True
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
         self.engine.scatter_gather = None
         if self.backend is not None:
             self.backend.shutdown(wait=wait)

@@ -5,6 +5,7 @@ an ephemeral loopback port with stdlib ``urllib``/``http.client``/raw
 sockets — the same way the CI smoke job and external clients do.
 """
 
+import http.client
 import json
 import socket
 import struct
@@ -66,6 +67,15 @@ def _poll_until_terminal(server, job_id, timeout=15.0):
             return doc
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} never finished")
+
+
+def _fetch(server, path):
+    """(status, body bytes) of a GET; 4xx/5xx do not raise."""
+    try:
+        with urllib.request.urlopen(server.url + path, timeout=30) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
 
 
 def _stream_frames(server, body):
@@ -378,3 +388,87 @@ class TestErrorMappingAndTelemetry:
         status, doc = _get(server, "/v1/stats")
         assert status == 200
         assert doc["counters"]["requests_total"] >= 1
+
+    @pytest.mark.parametrize(
+        "target, expected",
+        [
+            ("/metrics/", 200),
+            ("/healthz/", 200),
+            ("/varz/", 200),
+            ("/debug/traces/", 200),
+            ("/v1/queries/{job}?limit=", 400),
+            ("/v1/queries/{job}?offset=", 400),
+        ],
+    )
+    def test_one_route_parser(self, stack, ql, target, expected):
+        """A trailing slash and a blank parameter mean the same on every
+        route: the query routes and the telemetry routes share one parse."""
+        __, server = stack
+        if "{job}" in target:
+            __, doc = _post(server, "/v1/queries", {"ql": ql})
+            _poll_until_terminal(server, doc["query_id"])
+            target = target.format(job=doc["query_id"])
+        status, body = _fetch(server, target)
+        assert status == expected, target
+        if expected == 400:
+            # rejected, never silently replaced by the default window
+            assert json.loads(body)["error"].startswith("bad ")
+        elif target == "/debug/traces/":
+            assert "traces" in json.loads(body)
+        elif target == "/healthz/":
+            assert json.loads(body) == {"status": "ok"}
+
+    def test_every_method_gets_a_counted_json_reply(self, stack, monkeypatch):
+        """The documented ladder: JSON errors, 405 for the wrong method on
+        a known path, every request counted and logged; after a reply to
+        an unimplemented method the connection closes cleanly."""
+        service, server = stack
+        logged = []
+        monkeypatch.setattr(
+            service.log,
+            "event",
+            lambda name, **fields: logged.append(fields)
+            if name == "http_request" else None,
+        )
+        cases = [
+            ("GET", "/v1/sessions", "/v1/sessions", 405),
+            ("GET", "/v1/queries", "/v1/queries", 405),
+            ("PUT", "/v1/stats", "/v1/stats", 405),
+            ("PATCH", "/v1/sessions/s1", "/v1/sessions/*", 405),
+            ("HEAD", "/healthz", "/healthz", 405),
+            ("PUT", "/v2/nope", "other", 404),
+        ]
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=30
+        )
+        try:
+            for method, path, route, expected in cases:
+                counter = server._requests.labels(route, method, str(expected))
+                before = counter.value
+                connection.request(method, path)
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == expected, (method, path)
+                assert response.getheader("Content-Type") == "application/json"
+                if method != "HEAD":
+                    assert "error" in json.loads(body)
+                implemented = method in ("GET", "POST", "DELETE")
+                assert (response.getheader("Connection") == "close") != implemented
+                # accounting runs just after the send, on the server thread
+                deadline = time.monotonic() + 5
+                while not any(fields["path"] == path for fields in logged):
+                    assert time.monotonic() < deadline, "request never logged"
+                    time.sleep(0.01)
+                assert counter.value == before + 1
+                assert [
+                    (fields["method"], fields["status"])
+                    for fields in logged
+                    if fields["path"] == path
+                ] == [(method, expected)]
+            # the same client carries on: the HEAD reply did not desync it
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"status": "ok"}
+        finally:
+            connection.close()

@@ -175,19 +175,22 @@ class TestServiceStats:
 
 
 class TestServeMetrics:
+    """``solap serve`` with a workload: its metrics are on the same port."""
+
     def test_serves_workload_then_exits(self, dataset, queryfile, capsys):
         import json
         import re
         import threading
+        import time
         import urllib.request
 
-        # scrape the exporter mid-run: the --duration window keeps the
-        # server alive after the workload finishes
+        # scrape the server mid-run: the --duration window keeps it alive
+        # after the workload finishes
         results = {}
 
         def run():
             results["code"] = main(
-                ["serve-metrics", str(dataset), str(queryfile),
+                ["serve", str(dataset), str(queryfile),
                  "--port", "0", "--repeat", "2", "--duration", "5"]
             )
 
@@ -201,12 +204,17 @@ class TestServeMetrics:
                 url = match.group(0)
                 break
             thread.join(timeout=0.05)
-        assert url is not None, "serve-metrics never printed its URL"
+        assert url is not None, "serve never printed its URL"
         with urllib.request.urlopen(url + "/healthz", timeout=5) as response:
             assert json.loads(response.read()) == {"status": "ok"}
-        with urllib.request.urlopen(url + "/metrics", timeout=5) as response:
-            body = response.read().decode()
-        assert "solap_service_requests_total" in body
+        # the workload runs after the URL line: wait for both passes
+        for __ in range(200):
+            with urllib.request.urlopen(url + "/metrics", timeout=5) as response:
+                body = response.read().decode()
+            if "solap_service_queries_ok_total 2" in body.splitlines():
+                break
+            time.sleep(0.05)
+        assert "solap_service_queries_ok_total 2" in body.splitlines()
         thread.join(timeout=30)
         assert results["code"] == 0
 
@@ -243,10 +251,11 @@ class TestTrace:
         assert "dataset and queryfile" in capsys.readouterr().err
 
     def test_trace_recent_and_id_over_http(self, capsys):
-        from repro.obs.httpd import MetricsServer
-        from repro.obs.metrics import MetricsRegistry
+        from repro import QueryService
         from repro.obs.recorder import FlightRecorder
         from repro.obs.spans import Tracer, span
+        from repro.serve import SolapServer
+        from tests.conftest import make_figure8_db
 
         recorder = FlightRecorder(capacity=4)
         with Tracer("query") as tracer:
@@ -263,9 +272,9 @@ class TestTrace:
         entry_id = recorder.record(
             stats=Stats(), query_id="q7", wall_seconds=0.002
         )
-        with MetricsServer(
-            MetricsRegistry(), port=0, recorder=recorder
-        ) as srv:
+        service = QueryService(make_figure8_db())
+        service.recorder = recorder
+        with service, SolapServer(service) as srv:
             assert main(["trace", "--recent", "--server", srv.url]) == 0
             out = capsys.readouterr().out
             assert entry_id in out

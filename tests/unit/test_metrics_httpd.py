@@ -1,7 +1,13 @@
-"""Unit tests for the HTTP telemetry exporter (repro.obs.httpd)."""
+"""Unit tests for the telemetry routes of the HTTP server (repro.serve.app).
+
+``/metrics``, ``/healthz``, ``/varz`` and ``/debug/traces`` are entries
+in :class:`~repro.serve.app.SolapServer`'s one route table; these tests
+pin their documents, content types and failure handling.
+"""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import urllib.error
 import urllib.request
@@ -9,8 +15,8 @@ import urllib.request
 import pytest
 
 from repro import QueryService, ServiceConfig
-from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE, MetricsServer
-from repro.obs.metrics import MetricsRegistry
+from repro.serve import SolapServer
+from repro.serve.app import PROMETHEUS_CONTENT_TYPE, respond
 from tests.conftest import figure8_spec, make_figure8_db
 
 
@@ -29,14 +35,27 @@ def fetch(url: str):
         )
 
 
+@contextlib.contextmanager
+def serving(config=None, recorder=None):
+    """A started server over a fresh service (optionally with *recorder*)."""
+    service = QueryService(make_figure8_db(), config)
+    if recorder is not None:
+        service.recorder = recorder
+    try:
+        with SolapServer(service) as srv:
+            yield srv
+    finally:
+        service.shutdown()
+
+
 @pytest.fixture
 def server():
-    registry = MetricsRegistry()
-    registry.counter("demo_total", "A demo counter").inc(5)
-    registry.histogram(
-        "demo_seconds", "A demo histogram", buckets=(0.1, float("inf"))
-    ).observe(0.05)
-    with MetricsServer(registry, port=0) as srv:
+    with serving() as srv:
+        registry = srv.service.registry
+        registry.counter("demo_total", "A demo counter").inc(5)
+        registry.histogram(
+            "demo_seconds", "A demo histogram", buckets=(0.1, float("inf"))
+        ).observe(0.05)
         yield srv
 
 
@@ -54,6 +73,8 @@ def parse_prometheus(text: str):
 
 
 class TestMetricsServer:
+    """The metric routes: /metrics, /healthz and /varz."""
+
     def test_port_zero_binds_ephemeral(self, server):
         assert server.port != 0
         assert server.running
@@ -79,20 +100,20 @@ class TestMetricsServer:
         assert ctype == "application/json"
         assert json.loads(body) == {"status": "ok"}
 
-    def test_healthz_unhealthy_is_503(self):
-        registry = MetricsRegistry()
-        with MetricsServer(
-            registry, port=0, health_callback=lambda: False
-        ) as srv:
-            status, __, body = fetch(srv.url + "/healthz")
+    def test_healthz_unhealthy_is_503(self, server):
+        server.service.close()
+        status, __, body = fetch(server.url + "/healthz")
         assert status == 503
         assert json.loads(body) == {"status": "unhealthy"}
 
-    def test_varz_returns_registry_snapshot(self, server):
+    def test_varz_returns_service_snapshot(self, server):
         status, ctype, body = fetch(server.url + "/varz")
         assert status == 200
+        assert ctype == "application/json"
         doc = json.loads(body)
-        assert doc["demo_total"]["series"][""] == 5.0
+        assert set(doc) >= {"counters", "latency", "engine", "sessions"}
+        __, __, stats_body = fetch(server.url + "/v1/stats")
+        assert set(json.loads(stats_body)) == set(doc)
 
     def test_unknown_path_404(self, server):
         status, __, body = fetch(server.url + "/nope")
@@ -100,11 +121,27 @@ class TestMetricsServer:
         assert "/metrics" in json.loads(body)["paths"]
 
     def test_stop_is_idempotent(self):
-        server = MetricsServer(MetricsRegistry(), port=0).start()
+        service = QueryService(make_figure8_db())
+        server = SolapServer(service).start()
         assert server.start() is server  # idempotent
         server.stop()
         assert not server.running
         server.stop()
+        service.shutdown()
+
+    def test_handler_exception_is_500_and_server_stays_up(
+        self, server, monkeypatch
+    ):
+        def broken_snapshot():
+            raise RuntimeError("snapshot exploded")
+
+        monkeypatch.setattr(server.service, "snapshot", broken_snapshot)
+        status, ctype, body = fetch(server.url + "/varz")
+        assert status == 500
+        assert ctype == "application/json"
+        assert json.loads(body)["error"] == "RuntimeError: snapshot exploded"
+        status, __, __body = fetch(server.url + "/healthz")
+        assert status == 200
 
 
 class FakeWfile:
@@ -132,6 +169,8 @@ class FakeDisconnectedRequest:
     old blanket-``except``-then-500 path re-raise.
     """
 
+    close_connection = False
+
     def __init__(self, path="/metrics"):
         self.path = path
         self.wfile = FakeWfile()
@@ -150,40 +189,46 @@ class FakeDisconnectedRequest:
         pass
 
 
+@pytest.fixture
+def unstarted():
+    """A server that is never bound: ``_dispatch`` is driven directly."""
+    service = QueryService(make_figure8_db())
+    yield SolapServer(service)
+    service.shutdown()
+
+
+def sent_count(server, route, status):
+    return server._requests.labels(route, "GET", str(status)).value
+
+
 class TestClientDisconnects:
     """Regression: a client hanging up mid-write must not crash handlers.
 
-    Pre-fix, ``wfile.write`` raised ``BrokenPipeError``, the blanket
-    ``except`` in ``_handle`` tried to write a 500 to the same dead
-    socket, and the second raise escaped — killing the handler thread
-    with a traceback on stderr.
+    A blanket ``except`` that tries to write a 500 to the same dead
+    socket re-raises, and the second raise escapes — killing the handler
+    thread with a traceback on stderr.
     """
 
-    def test_handle_swallows_broken_pipe(self):
-        registry = MetricsRegistry()
-        registry.counter("demo_total", "demo").inc()
-        server = MetricsServer(registry)
+    def test_handle_swallows_broken_pipe(self, unstarted):
         request = FakeDisconnectedRequest("/metrics")
-        server._handle(request)  # must not raise
+        unstarted._dispatch(request, "GET")  # must not raise
         # the handler tried exactly one response (200), never a 500 retry
         assert request.statuses == [200]
+        assert sent_count(unstarted, "/metrics", 0) == 1
 
-    def test_handle_swallows_connection_reset(self):
-        server = MetricsServer(MetricsRegistry())
+    def test_handle_swallows_connection_reset(self, unstarted):
         request = FakeDisconnectedRequest("/healthz")
         request.wfile = FakeWfile(ConnectionResetError)
-        server._handle(request)  # must not raise
+        unstarted._dispatch(request, "GET")  # must not raise
         assert request.statuses == [200]
 
     def test_respond_swallows_disconnect_during_headers(self):
         request = FakeDisconnectedRequest("/metrics")
         request.send_response = FakeWfile(ConnectionResetError).write
-        sent = MetricsServer._respond(
-            request, 200, "application/json", b"{}"
-        )  # must not raise
+        sent = respond(request, 200, "application/json", b"{}")  # no raise
         assert sent == 0
 
-    def test_respond_swallows_disconnect_at_flush_time(self):
+    def test_respond_swallows_disconnect_at_flush_time(self, unstarted):
         # A buffered wfile accepts every write; the dead socket only
         # surfaces when the response is flushed.
         class FlushFails(FakeWfile):
@@ -193,23 +238,27 @@ class TestClientDisconnects:
             def flush(self):
                 raise self.error("client went away")
 
-        for error in (BrokenPipeError, ConnectionResetError):
+        for sent, error in enumerate((BrokenPipeError, ConnectionResetError)):
             request = FakeDisconnectedRequest("/metrics")
             request.wfile = FlushFails(error)
-            assert MetricsServer(MetricsRegistry())._handle(request) == 0
+            unstarted._dispatch(request, "GET")
             assert request.statuses == [200]
+            # the status recorded is the one that reached the client: none
+            assert sent_count(unstarted, "/metrics", 0) == sent + 1
+        assert sent_count(unstarted, "/metrics", 200) == 0
 
-    def test_respond_returns_the_status_it_sent(self):
+    def test_respond_returns_the_status_it_sent(self, unstarted):
         class Connected(FakeWfile):
             def write(self, data):
                 self.body = data
 
         request = FakeDisconnectedRequest("/healthz")
         request.wfile = Connected()
-        server = MetricsServer(MetricsRegistry(), health_callback=lambda: False)
-        assert server._handle(request) == 503
+        unstarted.service.close()
+        unstarted._dispatch(request, "GET")
         assert request.statuses == [503]
         assert request.wfile.body == b'{"status": "unhealthy"}'
+        assert sent_count(unstarted, "/healthz", 503) == 1
 
     def test_server_survives_early_socket_close(self, server):
         # A real socket that sends the request then resets immediately;
@@ -235,15 +284,12 @@ class TestClientDisconnects:
 
 class TestServiceExporter:
     def test_service_serves_metrics_while_querying(self):
-        config = ServiceConfig(expose_metrics_port=0)
-        with QueryService(make_figure8_db(), config) as service:
-            assert service.metrics_server is not None
-            assert service.metrics_server.running
-            url = service.metrics_server.url
+        with serving() as server:
+            service = server.service
             service.execute(figure8_spec(("X", "Y")), "cb")
             service.execute(figure8_spec(("X", "Y")), "cb")
 
-            status, __, body = fetch(url + "/metrics")
+            status, __, body = fetch(server.url + "/metrics")
             assert status == 200
             samples, types = parse_prometheus(body)
             assert types["solap_engine_queries_total"] == "counter"
@@ -254,25 +300,17 @@ class TestServiceExporter:
             assert samples["solap_service_requests_total"] == 2
             assert samples["solap_service_query_latency_seconds_count"] == 2
 
-            status, __, body = fetch(url + "/healthz")
+            status, __, body = fetch(server.url + "/healthz")
             assert status == 200
 
-            status, __, body = fetch(url + "/varz")
+            status, __, body = fetch(server.url + "/varz")
             snapshot = json.loads(body)
             assert snapshot["counters"]["queries_ok"] == 2
 
-        # shutdown stops the exporter
-        assert not service.metrics_server.running
-
-    def test_kwarg_overrides_config(self):
-        with QueryService(
-            make_figure8_db(), expose_metrics_port=0
-        ) as service:
-            assert service.metrics_server is not None
-            status, __, __body = fetch(
-                service.metrics_server.url + "/healthz"
-            )
-            assert status == 200
+            # a shut-down service reports itself unhealthy
+            service.shutdown()
+            status, __, __body = fetch(server.url + "/healthz")
+            assert status == 503
 
 
 class TestDebugTraces:
@@ -299,15 +337,14 @@ class TestDebugTraces:
         return recorder
 
     def test_traces_404_without_recorder(self, server):
+        server.service.recorder = None
         status, __, body = fetch(server.url + "/debug/traces")
         assert status == 404
         assert "not enabled" in json.loads(body)["error"]
 
     def test_traces_listing_and_entry(self):
         recorder = self.make_recorder_with_traces(3)
-        with MetricsServer(
-            MetricsRegistry(), port=0, recorder=recorder
-        ) as srv:
+        with serving(recorder=recorder) as srv:
             status, ctype, body = fetch(srv.url + "/debug/traces")
             assert status == 200 and ctype == "application/json"
             traces = json.loads(body)["traces"]
@@ -325,24 +362,23 @@ class TestDebugTraces:
 
     def test_traces_limit_and_bad_limit(self):
         recorder = self.make_recorder_with_traces(3)
-        with MetricsServer(
-            MetricsRegistry(), port=0, recorder=recorder
-        ) as srv:
+        with serving(recorder=recorder) as srv:
             status, __, body = fetch(srv.url + "/debug/traces?limit=1")
             assert status == 200
             assert len(json.loads(body)["traces"]) == 1
 
-            status, __, body = fetch(srv.url + "/debug/traces?limit=nope")
-            assert status == 400
-            assert "bad limit" in json.loads(body)["error"]
+            for bad in ("nope", ""):
+                status, __, body = fetch(
+                    srv.url + f"/debug/traces?limit={bad}"
+                )
+                assert status == 400, bad
+                assert "bad limit" in json.loads(body)["error"]
 
     def test_traces_zero_and_negative_limits_are_400(self):
-        # limit<1 used to be silently clamped to 1; it must be rejected
-        # like any other malformed limit, never reinterpreted.
+        # limit<1 must be rejected like any other malformed limit, never
+        # silently clamped to 1.
         recorder = self.make_recorder_with_traces(3)
-        with MetricsServer(
-            MetricsRegistry(), port=0, recorder=recorder
-        ) as srv:
+        with serving(recorder=recorder) as srv:
             for bad in ("0", "-3"):
                 status, __, body = fetch(
                     srv.url + f"/debug/traces?limit={bad}"
@@ -352,9 +388,7 @@ class TestDebugTraces:
 
     def test_unknown_trace_id_404(self):
         recorder = self.make_recorder_with_traces(1)
-        with MetricsServer(
-            MetricsRegistry(), port=0, recorder=recorder
-        ) as srv:
+        with serving(recorder=recorder) as srv:
             status, __, body = fetch(srv.url + "/debug/traces/t999999")
             assert status == 404
             assert "t999999" in json.loads(body)["error"]
@@ -362,34 +396,26 @@ class TestDebugTraces:
     def test_lookup_by_trace_id_falls_back(self):
         recorder = self.make_recorder_with_traces(1)
         trace_id = recorder.recent()[0]["trace_id"]
-        with MetricsServer(
-            MetricsRegistry(), port=0, recorder=recorder
-        ) as srv:
+        with serving(recorder=recorder) as srv:
             status, __, body = fetch(srv.url + f"/debug/traces/{trace_id}")
             assert status == 200
             assert json.loads(body)["summary"]["trace_id"] == trace_id
 
     def test_service_wires_recorder_into_exporter(self):
-        config = ServiceConfig(expose_metrics_port=0)
-        with QueryService(make_figure8_db(), config) as service:
-            url = service.metrics_server.url
-            service.execute(figure8_spec(("X", "Y")), "cb", analyze=True)
-            status, __, body = fetch(url + "/debug/traces")
+        with serving() as srv:
+            srv.service.execute(figure8_spec(("X", "Y")), "cb", analyze=True)
+            status, __, body = fetch(srv.url + "/debug/traces")
             assert status == 200
             traces = json.loads(body)["traces"]
             assert len(traces) >= 1
             assert traces[0]["trace_id"]
 
-            status, __, body = fetch(url + "/varz")
+            status, __, body = fetch(srv.url + "/varz")
             assert json.loads(body)["flight_recorder"]["recorded"] >= 1
 
     def test_recorder_disabled_by_config(self):
-        config = ServiceConfig(
-            expose_metrics_port=0, flight_recorder_capacity=0
-        )
-        with QueryService(make_figure8_db(), config) as service:
-            assert service.recorder is None
-            status, __, __body = fetch(
-                service.metrics_server.url + "/debug/traces"
-            )
+        config = ServiceConfig(flight_recorder_capacity=0)
+        with serving(config) as srv:
+            assert srv.service.recorder is None
+            status, __, __body = fetch(srv.url + "/debug/traces")
             assert status == 404

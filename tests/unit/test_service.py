@@ -27,8 +27,9 @@ from repro.errors import (
     SessionNotFoundError,
     WorkerLostError,
 )
+from repro.obs.metrics import BucketHistogram
 from repro.service.deadline import Deadline
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.parallel import (
     ProcessExecutorBackend,
     SerialExecutorBackend,
@@ -276,7 +277,7 @@ class TestIndexBudget:
 
 class TestMetrics:
     def test_histogram_quantiles(self):
-        histogram = LatencyHistogram()
+        histogram = BucketHistogram()
         for __ in range(90):
             histogram.observe(0.0009)
         for __ in range(10):
@@ -289,13 +290,13 @@ class TestMetrics:
 
     def test_histogram_validation(self):
         with pytest.raises(ValueError):
-            LatencyHistogram(buckets=(1.0, 2.0))
+            BucketHistogram(buckets=(1.0, 2.0))
         with pytest.raises(ValueError):
-            LatencyHistogram().quantile(1.5)
+            BucketHistogram().quantile(1.5)
 
     def test_histogram_merge(self):
-        a = LatencyHistogram()
-        b = LatencyHistogram()
+        a = BucketHistogram()
+        b = BucketHistogram()
         for __ in range(3):
             a.observe(0.0009)
         b.observe(0.0009)
@@ -309,8 +310,8 @@ class TestMetrics:
         assert b.count == 2
 
     def test_histogram_merge_rejects_mismatched_buckets(self):
-        a = LatencyHistogram()
-        b = LatencyHistogram(buckets=(0.5, float("inf")))
+        a = BucketHistogram()
+        b = BucketHistogram(buckets=(0.5, float("inf")))
         with pytest.raises(ValueError, match="different buckets"):
             a.merge(b)
 
@@ -354,7 +355,7 @@ class TestConfig:
 
     def test_field_count(self):
         # every field is a configuration axis tests and benches must cover
-        assert len(ServiceConfig.__dataclass_fields__) == 16
+        assert len(ServiceConfig.__dataclass_fields__) == 14
 
     def test_service_rejects_bad_target(self):
         with pytest.raises(ServiceError):
