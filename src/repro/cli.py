@@ -162,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="execution backend for shard tasks: threads share the "
-        "GIL (fairness only), processes give true multi-core matching",
+        choices=("serial", "process"),
+        default="serial",
+        help="execution backend for shard tasks: inline, or a process "
+        "pool for true multi-core matching",
     )
     query.add_argument(
         "--shards",
@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
-        default="thread",
+        choices=("serial", "process"),
+        default="serial",
         help="execution backend for shard tasks",
     )
     stats.add_argument(
@@ -368,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--backend",
-        choices=("serial", "thread", "process"),
-        default="thread",
+        choices=("serial", "process"),
+        default="serial",
         help="execution backend for shard tasks; worker-side spans are "
         "grafted into the exported trace",
     )

@@ -131,7 +131,7 @@ class CompiledMatcher:
     :class:`~repro.events.encoding.EncodedSequenceStore`.  Cell keys are
     aggregated in code space and decoded (then interned) once per distinct
     cell.  The matcher holds no per-sequence scratch state, so one instance
-    may be shared across the thread backend's pool.
+    may be shared across threads.
     """
 
     def __init__(
@@ -172,7 +172,7 @@ class CompiledMatcher:
         #: interned key tuples: equal cell / positions keys produced across
         #: sequences share one tuple object, cutting aggregation-dict
         #: hashing (hash cached per object) and key memory.  ``setdefault``
-        #: is atomic under the GIL, so the shared-matcher thread backend is
+        #: is atomic under the GIL, so a matcher shared across threads is
         #: safe.
         self._interned_keys: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
         #: per symbol dimension: the cell-key slot its value comes from, or
@@ -394,7 +394,7 @@ class CompiledMatcher:
         first_position = self._first_position
         accepts = self._accepts
         cell_positions = self._cell_first_positions
-        # Per-call scratch keeps the shared-matcher thread backend safe.
+        # Per-call scratch keeps a matcher shared across threads safe.
         indices: List[int] = [0] * m
         codes_at: List[int] = [0] * m
 

@@ -1,4 +1,4 @@
-"""Auxiliary index structures: inverted lists, bitmap variant, registry."""
+"""Auxiliary index structures: inverted lists and the index registry."""
 
 from repro.index.inverted import (
     InvertedIndex,

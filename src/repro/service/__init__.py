@@ -13,7 +13,6 @@ from repro.service.parallel import (
     ExecutorBackend,
     ProcessExecutorBackend,
     SerialExecutorBackend,
-    ThreadExecutorBackend,
     create_backend,
 )
 from repro.service.service import SESSION_OPERATIONS, QueryService
@@ -31,6 +30,5 @@ __all__ = [
     "ServiceMetrics",
     "SessionEntry",
     "SessionManager",
-    "ThreadExecutorBackend",
     "create_backend",
 ]

@@ -12,11 +12,9 @@ from typing import Optional
 
 #: the execution backends a sharded query's shard tasks can run on (see
 #: :mod:`repro.service.parallel`): ``serial`` runs them inline on the
-#: calling thread, ``thread`` on a thread pool (cheap handoff, but the
-#: pure-Python matching loop stays GIL-serialised), ``process`` on a
-#: process pool (true multi-core; the event database is shipped once per
-#: worker).
-EXECUTOR_BACKENDS = ("serial", "thread", "process")
+#: calling thread, ``process`` on a process pool (true multi-core; the
+#: event database is shipped once per worker).
+EXECUTOR_BACKENDS = ("serial", "process")
 
 #: multiprocessing start methods accepted for the process backend
 PROCESS_START_METHODS = (None, "fork", "spawn", "forkserver")
@@ -35,8 +33,8 @@ class ServiceConfig:
     #: with no plan, no merge and no pool (the default).
     shards: int = 0
     #: execution backend for shard tasks: one of
-    #: :data:`EXECUTOR_BACKENDS` (``serial`` | ``thread`` | ``process``)
-    executor_backend: str = "thread"
+    #: :data:`EXECUTOR_BACKENDS` (``serial`` | ``process``)
+    executor_backend: str = "serial"
     #: multiprocessing start method for the process backend (None = the
     #: platform default: fork on Linux, spawn on macOS/Windows)
     process_start_method: Optional[str] = None

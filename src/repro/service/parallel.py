@@ -6,14 +6,10 @@ hands the per-shard tasks to an :class:`ExecutorBackend`, whose single
 work method runs a full CB or II kernel over each shard's slice of the
 pipeline and returns transport-form partial cells for the merge.
 
-Three backends exist (selected by ``ServiceConfig.executor_backend``):
+Two backends exist (selected by ``ServiceConfig.executor_backend``):
 
 * ``serial`` — shard tasks run inline on the calling thread (baseline
   and debugging aid: same plan, same merge, no pool);
-* ``thread`` — shard tasks run on a ``ThreadPoolExecutor``.  Handoff is
-  cheap and shards share the query's :class:`Deadline` object directly,
-  but the pure-Python matching loop stays GIL-serialised, so threads buy
-  fairness, not CPU speedup;
 * ``process`` — shard tasks run on a ``ProcessPoolExecutor``.  The
   :class:`EventDatabase` is shipped **once per worker** through the pool
   initializer (a no-op copy under ``fork``, one pickle — or one mmap
@@ -35,7 +31,6 @@ from concurrent.futures import (
     Executor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     as_completed,
     wait,
 )
@@ -62,7 +57,6 @@ __all__ = [
     "ExecutorBackend",
     "ProcessExecutorBackend",
     "SerialExecutorBackend",
-    "ThreadExecutorBackend",
     "create_backend",
 ]
 
@@ -92,11 +86,10 @@ def _collect_or_cancel(futures: List[Future]) -> List:
 class ExecutorBackend:
     """One way of executing the shard tasks of a scatter-gather plan.
 
-    Concrete backends say where the per-shard kernels run — inline, on
-    threads, or on worker processes — and own whatever pool that
-    requires.  Every backend returns the partials in task (ascending
-    shard) order, so the coordinator's merge is identical across
-    backends and across runs.
+    Concrete backends say where the per-shard kernels run — inline or on
+    worker processes — and own whatever pool that requires.  Every
+    backend returns the partials in task (ascending shard) order, so the
+    coordinator's merge is identical across backends and across runs.
     """
 
     #: label used on metrics, trace spans and ``stats.extra``
@@ -138,21 +131,6 @@ class ExecutorBackend:
         """Release pool resources (idempotent)."""
 
 
-def _run_shared_memory_shard(
-    backend, db, groups, transport, strategy, deadline, trace_ctx, task
-) -> ShardPartial:
-    """One shard task for backends that share the coordinator's memory.
-
-    The pipeline is sliced inside the task (so ``worker.rebuild``
-    measures it) and the query's Deadline object is checked directly.
-    """
-    shard, sids = task
-    return run_traced_shard_partial(
-        db, transport, strategy, shard, deadline, trace_ctx, backend,
-        lambda: filter_groups(groups, frozenset(sids)),
-    )
-
-
 def _worker_ping(token: int) -> int:
     """No-op task used by warm-up to force worker start-up."""
     return token
@@ -178,54 +156,16 @@ class SerialExecutorBackend(ExecutorBackend):
         self, db, groups, transport, tasks, strategy, deadline, trace_ctx=None
     ) -> List[ShardPartial]:
         # Inline shards still run under a RemoteSpanCollector when traced,
-        # so every backend produces the same origin-marked worker subtrees.
+        # so both backends produce the same origin-marked worker subtrees.
+        # The pipeline is sliced inside the task (so ``worker.rebuild``
+        # measures it) and the query's Deadline object is checked directly.
         return [
-            _run_shared_memory_shard(
-                self.name, db, groups, transport, strategy, deadline,
-                trace_ctx, task,
+            run_traced_shard_partial(
+                db, transport, strategy, shard, deadline, trace_ctx, self.name,
+                lambda sids=sids: filter_groups(groups, frozenset(sids)),
             )
-            for task in tasks
+            for shard, sids in tasks
         ]
-
-
-class ThreadExecutorBackend(ExecutorBackend):
-    """Run shard tasks on a thread pool.
-
-    Shards share the coordinator's groups and Deadline objects directly
-    (threads share memory), so handoff is one closure per task.  The
-    pure-Python matching loop holds the GIL, so this backend buys
-    deadline fairness and overlap with any C-level work, not CPU scaling
-    — use the process backend for that.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int):
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.workers = max_workers
-        self.executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="solap-scan"
-        )
-
-    def run_partial_shards(
-        self, db, groups, transport, tasks, strategy, deadline, trace_ctx=None
-    ) -> List[ShardPartial]:
-        futures = [
-            self.executor.submit(
-                _run_shared_memory_shard,
-                self.name, db, groups, transport, strategy, deadline,
-                trace_ctx, task,
-            )
-            for task in tasks
-        ]
-        return _collect_or_cancel(futures)
-
-    def warm_up(self) -> List[float]:
-        return _timed_warm_up(self.executor, self.workers)
-
-    def shutdown(self, wait: bool = True) -> None:
-        self.executor.shutdown(wait=wait)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +331,6 @@ class ProcessExecutorBackend(ExecutorBackend):
 
 def create_backend(config: ServiceConfig, db: EventDatabase) -> ExecutorBackend:
     """The shard-task backend *config* asks for."""
-    if config.executor_backend == "thread":
-        return ThreadExecutorBackend(config.max_workers)
     if config.executor_backend == "process":
         return ProcessExecutorBackend(
             db, config.max_workers, start_method=config.process_start_method

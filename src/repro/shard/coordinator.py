@@ -12,8 +12,8 @@ already-resolved strategy.  It:
 2. consistent-hashes every selected sequence's cluster key onto the
    shards (:class:`~repro.shard.planner.ShardPlanner`), preserving the
    canonical scan order within each shard;
-3. scatters shard tasks onto the execution backend (inline, thread
-   pool or process pool), each shard running the unchanged CB/II
+3. scatters shard tasks onto the execution backend (inline or process
+   pool), each shard running the unchanged CB/II
    kernels over its slice
    (:func:`~repro.shard.executor.scan_shard_partial`);
 4. gathers the partial cell tables and merges them with the per-aggregate

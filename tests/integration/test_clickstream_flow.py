@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.bench import run_clickstream_exploration
 from repro.datagen import (
     ClickstreamConfig,
     generate_clickstream,
     remove_crawler_sessions,
 )
+from tests.paper_workloads import run_clickstream_exploration
 
 
 @pytest.fixture(scope="module")

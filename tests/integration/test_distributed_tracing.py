@@ -40,7 +40,7 @@ def remote_roots(root):
 
 
 class TestScatterGatherTracing:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_worker_spans_from_every_shard(self, backend):
         __, stats = run_traced(backend, shards=2)
         grafted = remote_roots(stats.trace)
@@ -69,10 +69,10 @@ class TestScatterGatherTracing:
         )
 
     def test_resource_profile_in_stats_extra(self):
-        __, stats = run_traced("thread", shards=2)
+        __, stats = run_traced("serial", shards=2)
         profile = stats.extra["resource_profile"]
         fanout = stats.extra["shard_fanout"]
-        assert profile["backend"] == "thread"
+        assert profile["backend"] == "serial"
         assert profile["fanout"] == fanout
         assert len(profile["workers"]) == fanout
         assert profile["sequences_scanned"] == stats.sequences_scanned
@@ -85,7 +85,7 @@ class TestScatterGatherTracing:
         json.dumps(profile)
 
     def test_plan_renders_distributed_breakdown(self):
-        __, stats = run_traced("thread", shards=2)
+        __, stats = run_traced("serial", shards=2)
         rendered = stats.plan.render()
         assert "distributed execution:" in rendered
         assert "shard 0" in rendered and "shard 1" in rendered
@@ -93,7 +93,7 @@ class TestScatterGatherTracing:
         assert stats.plan.to_dict()["extra"]["resource_profile"]
 
     def test_accounted_excludes_remote_stage_time(self):
-        __, stats = run_traced("thread", shards=2)
+        __, stats = run_traced("serial", shards=2)
         root = stats.trace
         local = stage_timings(root)
         # no stage is counted twice: local stages are unique by name here
@@ -107,7 +107,7 @@ class TestScatterGatherTracing:
         assert accounted >= total * 0.5
 
     def test_trace_exports_to_json_with_origin(self):
-        __, stats = run_traced("thread", shards=2)
+        __, stats = run_traced("serial", shards=2)
         doc = json.loads(trace_to_json(stats.trace, stats))
         assert doc["trace_schema"] == 2
 
@@ -127,7 +127,7 @@ class TestScatterGatherTracing:
         baseline, base_stats = SOLAPEngine(make_figure8_db()).execute(
             spec, "cb"
         )
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             traced, stats = run_traced(backend, shards=2)
             assert traced.cells == baseline.cells, backend
             assert (
@@ -138,7 +138,7 @@ class TestScatterGatherTracing:
         config = ServiceConfig(
             max_workers=2,
             shards=2,
-            executor_backend="thread",
+            executor_backend="serial",
             flight_recorder_capacity=0,  # no sampling promotion
         )
         with QueryService(make_figure8_db(), config) as service:
@@ -170,7 +170,7 @@ class TestFlightRecorderService:
         config = ServiceConfig(
             max_workers=2,
             shards=2,
-            executor_backend="thread",
+            executor_backend="serial",
             flight_recorder_capacity=8,
         )
         with QueryService(make_figure8_db(), config) as service:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import run_queryset_a, run_queryset_b, run_queryset_c
 from repro.datagen import SyntheticConfig, generate_event_database
+from tests.paper_workloads import run_queryset_a, run_queryset_b, run_queryset_c
 
 
 @pytest.fixture(scope="module")

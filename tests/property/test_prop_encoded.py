@@ -121,7 +121,7 @@ def _backend_dataset():
     ]
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("level", ["symbol", "group"])
 def test_encoded_scan_backends_equal_legacy(backend, level):
     """Sharded service scans on every execution backend equal the reference.

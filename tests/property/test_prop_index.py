@@ -1,11 +1,9 @@
 """Properties of inverted indices: builds, joins, merges, refinements."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import build_sequence_groups
 from repro.core.spec import PatternKind
-from repro.index.bitmap import BitmapIndex, bitmap_join
 from repro.index.inverted import (
     build_index,
     join_indices,
@@ -120,34 +118,3 @@ def test_union_of_sid_partition_is_whole(sequences, shape):
     assert {k: set(v) for k, v in union.lists.items()} == {
         k: set(v) for k, v in whole.lists.items()
     }
-
-
-@settings(max_examples=60, deadline=None)
-@given(sequences=sequences_strategy, shape=shape_strategy)
-def test_bitmap_encoding_lossless_and_join_equivalent(sequences, shape):
-    db = make_db(sequences)
-    group = single_group(db)
-    template = template_from(shape, PatternKind.SUBSTRING)
-    index = build_index(group, template, db.schema)
-    bitmap = BitmapIndex.from_inverted(index)
-    back = bitmap.to_inverted()
-    assert {k: set(v) for k, v in back.lists.items()} == {
-        k: set(v) for k, v in index.lists.items()
-    }
-    if template.length >= 2:
-        pair2 = build_index(group, pair_template(template, 0), db.schema)
-        target = prefix_template(template, 2)
-        if template.length > 2:
-            return
-        # joins agree between encodings
-        left1 = build_index(group, prefix_template(template, 1), db.schema)
-        list_join = join_indices(left1, pair2, target, db.schema)
-        bit_join = bitmap_join(
-            BitmapIndex.from_inverted(left1, sid_base=0),
-            BitmapIndex.from_inverted(pair2, sid_base=0),
-            target,
-            db.schema,
-        ).to_inverted()
-        assert {k: set(v) for k, v in bit_join.lists.items()} == {
-            k: set(v) for k, v in list_join.lists.items()
-        }

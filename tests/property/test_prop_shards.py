@@ -40,11 +40,7 @@ from repro import (
 from repro.core.spec import AggregateScope, AggregateSpec, PatternKind
 from repro.events.schema import Measure
 from repro.service import QueryService, ServiceConfig
-from repro.service.parallel import (
-    ProcessExecutorBackend,
-    SerialExecutorBackend,
-    ThreadExecutorBackend,
-)
+from repro.service.parallel import ProcessExecutorBackend, SerialExecutorBackend
 from repro.shard import ScatterGatherCoordinator
 from tests.property.conftest import (
     ALPHABET,
@@ -65,7 +61,7 @@ RESTRICTIONS = st.sampled_from(
     ]
 )
 FANOUTS = (1, 2, 4)
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 STRATEGIES = ("cb", "ii")
 
 _INLINE = SerialExecutorBackend()
@@ -255,7 +251,6 @@ FLOAT_AGGREGATES = (
 def backends():
     pool = {
         "serial": _INLINE,
-        "thread": ThreadExecutorBackend(3),
         "process": ProcessExecutorBackend(
             _DB, 2, start_method=os.environ.get("SOLAP_SHARD_START_METHOD")
         ),

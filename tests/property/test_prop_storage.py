@@ -137,7 +137,7 @@ def _backend_dataset():
     ]
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("level", ["symbol", "group"])
 def test_segment_scan_backends_equal_memory(backend, level, tmp_path):
     """Service scans over an attached store match in-memory execution on

@@ -77,7 +77,7 @@ class TemplateMatcher:
         #: interned key tuples: equal cell / positions keys produced across
         #: sequences share one tuple object, cutting aggregation-dict
         #: hashing (hash cached per object) and key memory.  ``setdefault``
-        #: is atomic under the GIL, so the shared-matcher thread backend is
+        #: is atomic under the GIL, so a matcher shared across threads is
         #: safe.
         self._interned_keys: Dict[Tuple[object, ...], Tuple[object, ...]] = {}
         #: per symbol dimension: the cell-key slot its value comes from, or

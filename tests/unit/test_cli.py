@@ -226,7 +226,7 @@ class TestTrace:
         out = tmp_path / "trace.json"
         code = main(
             ["trace", str(dataset), str(queryfile),
-             "--backend", "thread", "--shards", "2", "--workers", "2",
+             "--backend", "serial", "--shards", "2", "--workers", "2",
              "--out", str(out)]
         )
         assert code == 0

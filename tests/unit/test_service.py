@@ -33,7 +33,6 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.parallel import (
     ProcessExecutorBackend,
     SerialExecutorBackend,
-    ThreadExecutorBackend,
     _collect_or_cancel,
 )
 from repro.shard import ScatterGatherCoordinator
@@ -417,22 +416,17 @@ class TestExecutorBackends:
                 _collect_or_cancel(futures)
             assert all(f.done() for f in futures)
 
-    def test_failing_shard_leaves_thread_pool_quiescent(self):
+    def test_failing_shard_leaves_pool_quiescent(self):
         # A shard raising must cancel and drain its siblings, so the
         # one-worker pool is free to answer the next query normally.
         db = make_figure8_db()
         spec = figure8_spec(("X", "Y"))
-        backend = ThreadExecutorBackend(1)
-
-        class Expired:
-            def check(self):
-                raise QueryTimeoutError()
-
+        backend = ProcessExecutorBackend(db, 1)
         try:
             groups = self._groups(db, spec)
             with pytest.raises(QueryTimeoutError):
                 backend.run_partial_shards(
-                    db, groups, spec, self._tasks(groups), "cb", Expired()
+                    db, groups, spec, self._tasks(groups), "cb", _AlmostSpent()
                 )
             cuboid, __ = self._sharded(backend, db, spec)
             assert cuboid.cells == self._serial_cells(db, spec)
@@ -459,15 +453,11 @@ class TestExecutorBackends:
             with pytest.raises(ValueError):
                 ScatterGatherCoordinator(shards, SerialExecutorBackend())
 
-    def test_thread_and_process_backends_match_serial(self):
+    def test_sharded_backends_match_serial(self):
         db = make_figure8_db()
         spec = figure8_spec(("X", "Y"))
         expected = self._serial_cells(db, spec)
-        backends = [
-            SerialExecutorBackend(),
-            ThreadExecutorBackend(2),
-            ProcessExecutorBackend(db, 2),
-        ]
+        backends = [SerialExecutorBackend(), ProcessExecutorBackend(db, 2)]
         try:
             for backend in backends:
                 cuboid, stats = self._sharded(backend, db, spec)

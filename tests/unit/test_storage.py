@@ -333,7 +333,7 @@ class TestIntegration:
         __, manager = store
         svc = QueryService(
             manager.attach(),
-            ServiceConfig(max_workers=2, shards=2, executor_backend="thread"),
+            ServiceConfig(max_workers=2, shards=2, executor_backend="process"),
         )
         try:
             snapshot = svc.metrics.snapshot()

@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.bench.workloads import (
-    run_clickstream_exploration,
-    run_queryset_a,
-    run_queryset_b,
-    run_queryset_c,
-)
 from repro.datagen import (
     ClickstreamConfig,
     SyntheticConfig,
     generate_clickstream,
     generate_event_database,
+)
+from tests.paper_workloads import (
+    run_clickstream_exploration,
+    run_queryset_a,
+    run_queryset_b,
+    run_queryset_c,
 )
 
 
