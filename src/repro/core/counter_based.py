@@ -114,9 +114,10 @@ def counter_based_cuboid(
     stats = stats if stats is not None else QueryStats()
     stats.strategy = stats.strategy or "CB"
     matcher = make_matcher(spec.template, db, spec.restriction, spec.predicate)
+    stats.kernel = matcher.kernel.name
     with span("cb.scan") as scan_span:
         scanned_before = stats.sequences_scanned
-        with span("match.encoded") as m_span:
+        with span("match.encoded", kernel=stats.kernel) as m_span:
             cells = fold(
                 db,
                 spec.aggregates,

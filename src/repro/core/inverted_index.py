@@ -376,6 +376,7 @@ def count_index(
 
     # General path: fold each distinct listed sequence once, then keep
     # only the cells whose patterns the index lists.
+    stats.kernel = matcher.kernel.name
     folded = fold(
         db,
         spec.aggregates,

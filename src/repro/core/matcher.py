@@ -23,14 +23,17 @@ but template lengths in practice are small (≤ 6).
 Matching runs in *code space*: :func:`make_matcher` compiles a template
 against the database's dictionary (:mod:`repro.events.encoding`) into a
 :class:`CompiledMatcher`, which compares integer codes over flat code rows
-and decodes cell keys back to values once per distinct cell.  There is no
-other matcher; a template that cannot be compiled is a
-:class:`~repro.errors.SchemaError` at compile time.
+and decodes cell keys back to values once per distinct cell.  The matcher
+enumerates with the first kernel of :data:`KERNELS` that accepts the
+template (``windows``, then ``enumerate``).  There is no other matcher; a
+template that cannot be compiled is a :class:`~repro.errors.SchemaError`
+at compile time.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.spec import (
@@ -70,23 +73,18 @@ def get_default_occurrence_limit() -> Optional[int]:
     return _default_occurrence_limit
 
 
-class occurrence_limit:
+@contextmanager
+def occurrence_limit(limit: Optional[int]) -> Iterator[None]:
     """Context manager scoping the default occurrence cap.
 
     >>> with occurrence_limit(10_000):
     ...     engine.execute(spec)
     """
-
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
-        self._previous: Optional[int] = None
-
-    def __enter__(self) -> "occurrence_limit":
-        self._previous = set_default_occurrence_limit(self.limit)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        set_default_occurrence_limit(self._previous)
+    previous = set_default_occurrence_limit(limit)
+    try:
+        yield
+    finally:
+        set_default_occurrence_limit(previous)
 
 
 #: Assigned cell content: the database row indices of the assigned events.
@@ -119,6 +117,15 @@ def _symbol_value_ok(symbol: PatternSymbol, value: object, schema: Schema) -> bo
     return True
 
 
+def _raise_cap(template: PatternTemplate, sequence: Sequence, cap: int) -> None:
+    raise MatchLimitExceeded(
+        f"sequence sid={sequence.sid} exceeded the occurrence cap "
+        f"of {cap} for template {template.positions} "
+        f"({template.kind.value}); raise the cap or use a "
+        "more selective template"
+    )
+
+
 class CompiledMatcher:
     """Occurrence enumeration and cell assignment for one template, in code space.
 
@@ -126,9 +133,10 @@ class CompiledMatcher:
     (template, restriction, predicate) triple and reused across sequences:
     every symbol restriction (fixed / within) is translated once into an
     *accept-set* of integer codes, placeholder equality becomes an int
-    compare, and the substring / subsequence automaton runs over flat
-    ``array('I')`` rows from the database's
-    :class:`~repro.events.encoding.EncodedSequenceStore`.  Cell keys are
+    compare, and the occurrences are enumerated over flat ``array('I')``
+    rows from the database's
+    :class:`~repro.events.encoding.EncodedSequenceStore` by the first
+    kernel in :data:`KERNELS` that accepts the template.  Cell keys are
     aggregated in code space and decoded (then interned) once per distinct
     cell.  The matcher holds no per-sequence scratch state, so one instance
     may be shared across threads.
@@ -137,21 +145,16 @@ class CompiledMatcher:
     def __init__(
         self,
         template: PatternTemplate,
-        schema: Schema,
         restriction: CellRestriction,
         predicate: Optional[MatchingPredicate],
-        occurrence_cap: Optional[int],
         *,
         store,
         row_domains: Tuple[Optional[Tuple[str, str]], ...],
         accepts: Tuple[Optional[frozenset], ...],
     ):
         self.template = template
-        self.schema = schema
         self.restriction = restriction
         self.predicate = predicate
-        #: per-sequence enumeration cap (falls back to the process default)
-        self.occurrence_cap = occurrence_cap
         self._symbol_ids = template.symbol_ids()
         self._m = template.length
         #: number of distinct symbols (wildcards included; binding array size)
@@ -203,24 +206,8 @@ class CompiledMatcher:
         #: code cell key → interned positions key (decode + wildcard
         #: expansion fused), for the instantiation-listing path
         self._positions_by_code: Dict[Tuple[int, ...], Tuple[object, ...]] = {}
-        #: the dominant template shape — substring, all symbols distinct,
-        #: no wildcards, no predicate — admits a windowed ``zip``
-        #: enumeration with no per-position Python loop; when accept-sets
-        #: are present the windows are filtered by per-position membership
-        simple_shape = (
-            template.kind is PatternKind.SUBSTRING
-            and predicate is None
-            and all(domain is not None for domain in row_domains)
-            and list(self._cell_first_positions) == list(range(self._m))
-            and len(self._symbol_ids) == len(set(self._symbol_ids))
-        )
-        self._accept_checks = [
-            (offset, accept)
-            for offset, accept in enumerate(accepts)
-            if accept is not None
-        ]
-        self._simple_substring = simple_shape and not self._accept_checks
-        self._filtered_substring = simple_shape and bool(self._accept_checks)
+        #: the enumeration kernel: the first in KERNELS that accepts
+        self.kernel = next(kernel for kernel in KERNELS if kernel.accepts(self))(self)
 
     # ------------------------------------------------------------------
     # Compilation
@@ -232,7 +219,6 @@ class CompiledMatcher:
         db,
         restriction: CellRestriction = CellRestriction.LEFT_MAXIMALITY,
         predicate: Optional[MatchingPredicate] = None,
-        occurrence_cap: Optional[int] = None,
     ) -> "CompiledMatcher":
         """Translate *template* into code space against *db*'s dictionary.
 
@@ -270,30 +256,16 @@ class CompiledMatcher:
             accepts.append(accept)
         return cls(
             template,
-            schema,
             restriction,
             predicate,
-            occurrence_cap,
             store=store,
             row_domains=tuple(row_domains),
             accepts=tuple(accepts),
         )
 
     # ------------------------------------------------------------------
-    # Predicate evaluation and cell keys
+    # Cell keys
     # ------------------------------------------------------------------
-    def occurrence_qualifies(
-        self, sequence: Sequence, indices: Tuple[int, ...]
-    ) -> bool:
-        """Evaluate the matching predicate over the occurrence's events."""
-        if self.predicate is None:
-            return True
-        bindings = {
-            placeholder: sequence.event(index)
-            for placeholder, index in zip(self.predicate.placeholders, indices)
-        }
-        return self.predicate.expr.evaluate(BindingContext(bindings))
-
     def cell_key(self, values: Tuple[object, ...]) -> Tuple[object, ...]:
         """Pattern-dimension key (n values) from per-position values (m).
 
@@ -313,9 +285,219 @@ class CompiledMatcher:
         )
         return self._interned_keys.setdefault(key, key)
 
+    def _decode_cell_key(self, key: Tuple[int, ...]) -> Tuple[object, ...]:
+        found = self._decoded_codes.get(key)
+        if found is not None:
+            return found
+        decoded = tuple(
+            decoder[code] for decoder, code in zip(self._cell_decoders, key)
+        )
+        decoded = self._interned_keys.setdefault(decoded, decoded)
+        self._decoded_codes[key] = decoded
+        return decoded
+
+    def _positions_for_code(self, key: Tuple[int, ...]) -> Tuple[object, ...]:
+        """Interned positions key for a code cell key (decode fused in)."""
+        found = self._positions_by_code.get(key)
+        if found is None:
+            found = self._positions_by_code[key] = self.positions_key(
+                self._decode_cell_key(key)
+            )
+        return found
+
     # ------------------------------------------------------------------
-    # Code-space enumeration
+    # Kernel calls: cell assignment under the restriction, and the unique
+    # instantiations BuildIndex lists (Figure 9, line 4)
     # ------------------------------------------------------------------
+    def assignments(self, sequence: Sequence) -> Dict[Tuple[object, ...], List[Content]]:
+        """Cell → assigned contents for *sequence* under the restriction.
+
+        Keys are pattern-dimension value tuples (length n); values are lists
+        of assigned contents (database row tuples).  Under left-maximality
+        the list has exactly one entry per cell.
+        """
+        by_code = self.kernel.cells(sequence)
+        if not by_code:
+            return {}
+        decode = self._decode_cell_key
+        return {decode(key): contents for key, contents in by_code.items()}
+
+    def unique_instantiations(self, sequence: Sequence) -> List[Tuple[object, ...]]:
+        """Distinct per-position value tuples of template occurrences.
+
+        This is the BuildIndex enumeration: template-only (no σ, no ρ).
+        The full per-position tuple is a function of the cell key (repeated
+        symbols share one binding; wildcards are always None), so the
+        kernel's first-seen code keys give both the set and the order.
+        """
+        keys = self.kernel.instantiations(sequence)
+        if not keys:
+            return []
+        positions = self._positions_for_code
+        return [positions(key) for key in keys]
+
+
+class _Kernel:
+    """An enumeration kernel: ``cells(sequence)`` maps code cell key →
+    contents under the restriction, ``instantiations(sequence)`` gives the
+    distinct code cell keys first-seen first; both count occurrences
+    against the cap.  It copies its matcher's plan and keeps no reference
+    to the matcher: that cycle would hold every finished query's matcher
+    and decode caches until the cyclic garbage collector runs.
+    """
+
+    _PLAN = (
+        "template", "restriction", "predicate", "_store", "_row_domains", "_accepts",
+        "_symbol_ids", "_first_position", "_cell_first_positions", "_m", "_n",
+    )
+
+    def __init__(self, matcher: CompiledMatcher):
+        for name in self._PLAN:
+            setattr(self, name, getattr(matcher, name))
+
+
+class WindowsKernel(_Kernel):
+    """Substring templates of distinct, non-wildcard symbols, no predicate.
+
+    For these the window at *start* is an occurrence exactly when each of
+    its codes passes its position's accept-set, and its cell key is
+    ``(row_0[start], row_1[start + 1], ...)``: zipping the position rows
+    at their offsets enumerates every window, left to right, at C speed
+    with no per-position Python loop.
+    """
+
+    name = "windows"
+
+    @staticmethod
+    def accepts(matcher: CompiledMatcher) -> bool:
+        return (
+            matcher.template.kind is PatternKind.SUBSTRING
+            and matcher.predicate is None
+            and all(domain is not None for domain in matcher._row_domains)
+            and matcher._cell_first_positions == list(range(matcher._m))
+            and len(set(matcher._symbol_ids)) == matcher._m
+        )
+
+    def __init__(self, matcher: CompiledMatcher):
+        super().__init__(matcher)
+        #: (offset, accept-set) per restricted position; a window failing
+        #: one is not an occurrence and does not count against the cap
+        self._filters = [
+            (offset, accept)
+            for offset, accept in enumerate(self._accepts)
+            if accept is not None
+        ]
+
+    def _keys(self, sequence: Sequence):
+        """Code cell keys of every window, as a ``zip`` iterator.
+
+        Without accept-sets every window is an occurrence, so the cap is
+        tested on the window count up front; the error is the one an
+        enumerator raises at the (cap+1)-th occurrence.
+        """
+        cap = _default_occurrence_limit
+        if not self._filters and cap is not None and len(sequence) - self._m + 1 > cap:
+            _raise_cap(self.template, sequence, cap)
+        store = self._store
+        rows = [
+            store.row(sequence, attribute, level)
+            for attribute, level in self._row_domains
+        ]
+        return zip(*(row[offset:] if offset else row for offset, row in enumerate(rows)))
+
+    def _filtered(self, sequence: Sequence):
+        """(start, code key) of every window passing the accept-sets."""
+        cap = _default_occurrence_limit
+        filters = self._filters
+        count = 0
+        for start, key in enumerate(self._keys(sequence)):
+            for offset, accept in filters:
+                if key[offset] not in accept:
+                    break
+            else:
+                count += 1
+                if cap is not None and count > cap:
+                    _raise_cap(self.template, sequence, cap)
+                yield start, key
+
+    def cells(self, sequence: Sequence) -> Dict[Tuple[int, ...], List[Content]]:
+        m = self._m
+        if len(sequence) < m:
+            return {}
+        windows = self._filtered(sequence) if self._filters else enumerate(self._keys(sequence))
+        rows = sequence.rows
+        by_code: Dict[Tuple[int, ...], List[Content]] = {}
+        if self.restriction is CellRestriction.ALL_MATCHED:
+            for start, key in windows:
+                bucket = by_code.get(key)
+                if bucket is None:
+                    bucket = by_code[key] = []
+                bucket.append(rows[start : start + m])
+        elif self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA:
+            for __, key in windows:
+                if key not in by_code:
+                    by_code[key] = [rows]
+        else:
+            for start, key in windows:
+                if key not in by_code:
+                    by_code[key] = [rows[start : start + m]]
+        return by_code
+
+    def instantiations(self, sequence: Sequence):
+        if len(sequence) < self._m:
+            return ()
+        if self._filters:
+            return dict.fromkeys(key for __, key in self._filtered(sequence))
+        return dict.fromkeys(self._keys(sequence))
+
+
+class EnumerateKernel(_Kernel):
+    """Every template: code-space backtracking over the positions.
+
+    Covers what :class:`WindowsKernel` declines — repeated symbols,
+    wildcards, SUBSEQUENCE templates and matching predicates.  Substring
+    occurrences are enumerated window by window, subsequence occurrences
+    by depth-first index selection (lexicographic index order).
+    """
+
+    name = "enumerate"
+
+    @staticmethod
+    def accepts(matcher: CompiledMatcher) -> bool:
+        return True
+
+    def cells(self, sequence: Sequence) -> Dict[Tuple[int, ...], List[Content]]:
+        all_matched = self.restriction is CellRestriction.ALL_MATCHED
+        data_go = self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA
+        predicate = self.predicate
+        rows = sequence.rows
+        by_code: Dict[Tuple[int, ...], List[Content]] = {}
+        for key, indices in self._iter_code_occurrences(sequence):
+            if not all_matched and key in by_code:
+                continue
+            if predicate is not None and not self._qualifies(sequence, indices):
+                continue
+            if data_go:
+                content: Content = rows
+            else:
+                content = tuple(rows[index] for index in indices)
+            by_code.setdefault(key, []).append(content)
+        return by_code
+
+    def instantiations(self, sequence: Sequence):
+        seen: Dict[Tuple[int, ...], None] = {}
+        for key, __ in self._iter_code_occurrences(sequence):
+            seen[key] = None
+        return seen
+
+    def _qualifies(self, sequence: Sequence, indices: Tuple[int, ...]) -> bool:
+        """Evaluate the matching predicate over the occurrence's events."""
+        bindings = {
+            placeholder: sequence.event(index)
+            for placeholder, index in zip(self.predicate.placeholders, indices)
+        }
+        return self.predicate.expr.evaluate(BindingContext(bindings))
+
     def _code_rows(self, sequence: Sequence) -> List[Optional[object]]:
         store = self._store
         return [
@@ -339,7 +521,7 @@ class CompiledMatcher:
             source = self._iter_code_substring(sequence)
         else:
             source = self._iter_code_subsequence(sequence)
-        cap = self._effective_cap()
+        cap = _default_occurrence_limit
         if cap is None:
             yield from source
             return
@@ -347,7 +529,7 @@ class CompiledMatcher:
         for occurrence in source:
             count += 1
             if count > cap:
-                self._raise_cap(sequence, cap)
+                _raise_cap(self.template, sequence, cap)
             yield occurrence
 
     def _iter_code_substring(self, sequence: Sequence):
@@ -426,217 +608,26 @@ class CompiledMatcher:
 
         yield from extend(0, 0)
 
-    def _decode_cell_key(self, key: Tuple[int, ...]) -> Tuple[object, ...]:
-        found = self._decoded_codes.get(key)
-        if found is not None:
-            return found
-        decoded = tuple(
-            decoder[code] for decoder, code in zip(self._cell_decoders, key)
-        )
-        decoded = self._interned_keys.setdefault(decoded, decoded)
-        self._decoded_codes[key] = decoded
-        return decoded
 
-    # ------------------------------------------------------------------
-    # Simple-substring fast path: windowed zip over the code rows
-    # ------------------------------------------------------------------
-    def _window_keys(self, sequence: Sequence):
-        """Code cell keys of every window, as a C-speed ``zip`` iterator.
-
-        Valid only for ``_simple_substring`` templates: the cell key of the
-        window at *start* is exactly ``(row_0[start], row_1[start+1], ...)``
-        and every window matches, so zipping the position rows at their
-        offsets enumerates all occurrences in left-to-right order with no
-        per-position Python loop.
-        """
-        store = self._store
-        rows = [
-            store.row(sequence, attribute, level)
-            for attribute, level in self._row_domains
-        ]
-        return zip(*(row[offset:] if offset else row for offset, row in enumerate(rows)))
-
-    def _effective_cap(self) -> Optional[int]:
-        return (
-            self.occurrence_cap
-            if self.occurrence_cap is not None
-            else _default_occurrence_limit
-        )
-
-    def _raise_cap(self, sequence: Sequence, cap: int) -> None:
-        raise MatchLimitExceeded(
-            f"sequence sid={sequence.sid} exceeded the occurrence cap "
-            f"of {cap} for template {self.template.positions} "
-            f"({self.template.kind.value}); raise the cap or use a "
-            "more selective template"
-        )
-
-    def _check_window_cap(self, sequence: Sequence, n_windows: int) -> None:
-        """The occurrence cap, applied to the (pre-known) window count.
-
-        On the simple-substring path every window is an occurrence, so the
-        cap can be tested before enumeration; the error is the one the
-        generic path raises at the (cap+1)-th occurrence.
-        """
-        cap = self._effective_cap()
-        if cap is not None and n_windows > cap:
-            self._raise_cap(sequence, cap)
-
-    # ------------------------------------------------------------------
-    # Cell assignment under a restriction
-    # ------------------------------------------------------------------
-    def assignments(self, sequence: Sequence) -> Dict[Tuple[object, ...], List[Content]]:
-        """Cell → assigned contents for *sequence* under the restriction.
-
-        Keys are pattern-dimension value tuples (length n); values are lists
-        of assigned contents (database row tuples).  Under left-maximality
-        the list has exactly one entry per cell.
-        """
-        all_matched = self.restriction is CellRestriction.ALL_MATCHED
-        data_go = self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA
-        predicate = self.predicate
-        rows = sequence.rows
-        by_code: Dict[Tuple[int, ...], List[Content]] = {}
-        if self._simple_substring:
-            m = self._m
-            n_windows = len(sequence) - m + 1
-            if n_windows <= 0:
-                return {}
-            self._check_window_cap(sequence, n_windows)
-            if all_matched:
-                for start, key in enumerate(self._window_keys(sequence)):
-                    bucket = by_code.get(key)
-                    if bucket is None:
-                        bucket = by_code[key] = []
-                    bucket.append(rows[start : start + m])
-            elif data_go:
-                for key in self._window_keys(sequence):
-                    if key not in by_code:
-                        by_code[key] = [rows]
-            else:
-                for start, key in enumerate(self._window_keys(sequence)):
-                    if key not in by_code:
-                        by_code[key] = [rows[start : start + m]]
-            decode = self._decode_cell_key
-            return {decode(key): contents for key, contents in by_code.items()}
-        if self._filtered_substring:
-            m = self._m
-            if len(sequence) < m:
-                return {}
-            cap = self._effective_cap()
-            count = 0
-            checks = self._accept_checks
-            for start, key in enumerate(self._window_keys(sequence)):
-                matched = True
-                for offset, accept in checks:
-                    if key[offset] not in accept:
-                        matched = False
-                        break
-                if not matched:
-                    continue
-                count += 1
-                if cap is not None and count > cap:
-                    self._raise_cap(sequence, cap)
-                if all_matched:
-                    bucket = by_code.get(key)
-                    if bucket is None:
-                        bucket = by_code[key] = []
-                    bucket.append(rows[start : start + m])
-                elif key not in by_code:
-                    by_code[key] = [rows] if data_go else [rows[start : start + m]]
-            decode = self._decode_cell_key
-            return {decode(key): contents for key, contents in by_code.items()}
-        for key, indices in self._iter_code_occurrences(sequence):
-            if not all_matched and key in by_code:
-                continue
-            if predicate is not None and not self.occurrence_qualifies(
-                sequence, indices
-            ):
-                continue
-            if data_go:
-                content: Content = rows
-            else:
-                content = tuple(rows[index] for index in indices)
-            by_code.setdefault(key, []).append(content)
-        if not by_code:
-            return {}
-        decode = self._decode_cell_key
-        return {decode(key): contents for key, contents in by_code.items()}
-
-    def _positions_for_code(self, key: Tuple[int, ...]) -> Tuple[object, ...]:
-        """Interned positions key for a code cell key (decode fused in)."""
-        found = self._positions_by_code.get(key)
-        if found is None:
-            found = self._positions_by_code[key] = self.positions_key(
-                self._decode_cell_key(key)
-            )
-        return found
-
-    # ------------------------------------------------------------------
-    # Index support: unique instantiations (BuildIndex, Figure 9, line 4)
-    # ------------------------------------------------------------------
-    def unique_instantiations(self, sequence: Sequence) -> List[Tuple[object, ...]]:
-        """Distinct per-position value tuples of template occurrences.
-
-        This is the BuildIndex enumeration: template-only (no σ, no ρ).
-        """
-        if self._simple_substring:
-            n_windows = len(sequence) - self._m + 1
-            if n_windows <= 0:
-                return []
-            self._check_window_cap(sequence, n_windows)
-            positions = self._positions_for_code
-            return [
-                positions(key)
-                for key in dict.fromkeys(self._window_keys(sequence))
-            ]
-        if self._filtered_substring:
-            if len(sequence) < self._m:
-                return []
-            cap = self._effective_cap()
-            count = 0
-            checks = self._accept_checks
-            seen_keys: Dict[Tuple[int, ...], None] = {}
-            for key in self._window_keys(sequence):
-                matched = True
-                for offset, accept in checks:
-                    if key[offset] not in accept:
-                        matched = False
-                        break
-                if not matched:
-                    continue
-                count += 1
-                if cap is not None and count > cap:
-                    self._raise_cap(sequence, cap)
-                if key not in seen_keys:
-                    seen_keys[key] = None
-            positions = self._positions_for_code
-            return [positions(key) for key in seen_keys]
-        seen: Dict[Tuple[int, ...], None] = {}
-        for key, __ in self._iter_code_occurrences(sequence):
-            if key not in seen:
-                seen[key] = None
-        # The full per-position tuple is a function of the cell key (repeated
-        # symbols share one binding; wildcards are always None), so deduping
-        # on cell keys preserves both the set and the first-seen order.
-        positions = self._positions_for_code
-        return [positions(key) for key in seen]
+#: the enumeration kernels, most specialised first; a matcher keeps the
+#: first whose ``accepts`` holds, and the last accepts every template
+KERNELS = (WindowsKernel, EnumerateKernel)
 
 
 # --------------------------------------------------------------------------
 # Construction
 # --------------------------------------------------------------------------
 
-_dispatch_lock = threading.Lock()
-#: process-local count of matchers built by make_matcher, exported as the
-#: ``solap_matcher_dispatch_total{kind="compiled"}`` metric family
-_dispatch_counts: Dict[str, int] = {"compiled": 0}
+_kernel_lock = threading.Lock()
+#: process-local count of matchers built by make_matcher, per kernel,
+#: exported as the ``solap_matcher_kernel_total{kernel}`` metric family
+_kernel_counts: Dict[str, int] = {kernel.name: 0 for kernel in KERNELS}
 
 
-def matcher_dispatch_counts() -> Dict[str, int]:
-    """Snapshot of make_matcher outcome counts (process-local, monotonic)."""
-    with _dispatch_lock:
-        return dict(_dispatch_counts)
+def matcher_kernel_counts() -> Dict[str, int]:
+    """Snapshot of matchers built per kernel (process-local, monotonic)."""
+    with _kernel_lock:
+        return dict(_kernel_counts)
 
 
 def make_matcher(
@@ -644,7 +635,6 @@ def make_matcher(
     db,
     restriction: CellRestriction = CellRestriction.LEFT_MAXIMALITY,
     predicate: Optional[MatchingPredicate] = None,
-    occurrence_cap: Optional[int] = None,
 ) -> CompiledMatcher:
     """The matcher for *template* over *db*, compiled into code space.
 
@@ -652,9 +642,7 @@ def make_matcher(
     compiled (see :meth:`CompiledMatcher.compile`).
     """
     with span("match.compile"):
-        matcher = CompiledMatcher.compile(
-            template, db, restriction, predicate, occurrence_cap
-        )
-    with _dispatch_lock:
-        _dispatch_counts["compiled"] += 1
+        matcher = CompiledMatcher.compile(template, db, restriction, predicate)
+    with _kernel_lock:
+        _kernel_counts[matcher.kernel.name] += 1
     return matcher

@@ -35,6 +35,9 @@ class QueryStats:
     cuboid_cache_hit: bool = False
     sequence_cache_hit: bool = False
     index_reused: bool = False
+    #: the matcher kernel a CB scan or II fold ran ("" when none ran);
+    #: merged totals join distinct kernels with ``+``
+    kernel: str = ""
     extra: Dict[str, object] = field(default_factory=dict)
     #: cooperative-cancellation token (duck-typed: anything with ``check()``,
     #: e.g. :class:`repro.service.deadline.Deadline`), set by the service
@@ -72,6 +75,8 @@ class QueryStats:
         self.index_bytes_built += other.index_bytes_built
         self.index_joins += other.index_joins
         self.lists_transformed += other.lists_transformed
+        kernels = filter(None, f"{self.kernel}+{other.kernel}".split("+"))
+        self.kernel = "+".join(dict.fromkeys(kernels))
 
     def summary(self) -> str:
         return (

@@ -155,7 +155,8 @@ def explain_analyze(
     else:
         plan.add(f"strategy: {chosen}", 1)
 
-    # -- join kernel actually used ---------------------------------------
+    # -- kernels actually used -------------------------------------------
+    plan.add(f"matcher kernel: {stats.kernel or 'none (no fold ran)'}", 1)
     join_kernel = stats.extra.get("join_kernel")
     if join_kernel is not None:
         plan.add(f"join intersection kernel: {join_kernel}", 1)

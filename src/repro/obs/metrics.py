@@ -562,16 +562,16 @@ def register_engine_metrics(registry: MetricsRegistry, engine) -> None:
             lambda o=op: engine.semantic_rejects.get(o, 0), op
         )
 
-    from repro.core.matcher import matcher_dispatch_counts
+    from repro.core.matcher import KERNELS, matcher_kernel_counts
 
-    registry.counter(
-        "solap_matcher_dispatch_total",
-        "Matchers constructed (every matcher is compiled into code space); "
+    kernels = registry.counter(
+        "solap_matcher_kernel_total",
+        "Matchers built, by the enumeration kernel they compiled to; "
         "process-local — worker processes keep their own counts",
-        labels=("kind",),
-    ).attach_callback(
-        lambda: matcher_dispatch_counts()["compiled"], "compiled"
+        labels=("kernel",),
     )
+    for kernel in KERNELS:
+        kernels.attach_callback(lambda k=kernel.name: matcher_kernel_counts()[k], kernel.name)
     registry.counter(
         "solap_engine_rows_aggregated_total",
         "Total result cells aggregated across all queries",

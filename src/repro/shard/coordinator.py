@@ -203,6 +203,7 @@ class ScatterGatherCoordinator:
         for partial in partials:
             stats.add_scan(partial.sequences_scanned)
             stats.index_bytes_built += partial.index_bytes_built
+            stats.kernel = stats.kernel or partial.kernel
         stats.checkpoint()
         self.scans_run += 1
         self.metrics.observe_scan(partials, skew)

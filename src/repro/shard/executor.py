@@ -52,6 +52,7 @@ class ShardPartial:
     sequences_scanned: int = 0
     index_bytes_built: int = 0
     rows_matched: int = 0
+    kernel: str = ""
     #: cells the shard produced before merging (skew/telemetry only)
     cells_out: int = field(default=0)
     #: serialised worker span payload (None when the task was untraced)
@@ -129,6 +130,7 @@ def scan_shard_partial(
             sequences_scanned=stats.sequences_scanned,
             index_bytes_built=stats.index_bytes_built,
             rows_matched=rows_matched,
+            kernel=stats.kernel,
             cells_out=len(cuboid.cells),
         )
         fold_span.set("cells_out", partial.cells_out)

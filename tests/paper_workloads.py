@@ -56,6 +56,8 @@ class StepResult:
     sequences_scanned: int
     index_bytes_built: int
     cells: int
+    #: positions in the query's pattern template
+    template_length: int
 
 
 def _step(
@@ -68,6 +70,7 @@ def _step(
         sequences_scanned=stats.sequences_scanned,
         index_bytes_built=stats.index_bytes_built,
         cells=len(cuboid),
+        template_length=spec.template.length,
     )
 
 

@@ -16,7 +16,7 @@ from repro import (
     SchemaError,
     build_sequence_groups,
 )
-from repro.core.matcher import CompiledMatcher, make_matcher, matcher_dispatch_counts
+from repro.core.matcher import CompiledMatcher, make_matcher, matcher_kernel_counts
 from repro.core.spec import PatternKind
 from repro.events.encoding import DimensionDictionary, EncodedSequenceStore
 from tests.conftest import location_template, make_figure8_db
@@ -172,9 +172,11 @@ class TestCompiledMatcherDispatch:
 
     def test_dispatch_counter_advances(self):
         db = make_figure8_db()
-        before = matcher_dispatch_counts()["compiled"]
-        make_matcher(location_template(("X", "Y")), db)
-        assert matcher_dispatch_counts()["compiled"] == before + 1
+        before = matcher_kernel_counts()
+        matcher = make_matcher(location_template(("X", "Y")), db)
+        after = matcher_kernel_counts()
+        assert matcher.kernel.name == "windows"
+        assert after == {**before, "windows": before["windows"] + 1}
 
     @pytest.mark.parametrize("strategy", ["cb", "ii"])
     @pytest.mark.parametrize("case", sorted(UNCOMPILABLE))

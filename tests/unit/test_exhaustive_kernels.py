@@ -7,7 +7,8 @@ reference in ``tests/reference_matcher.py`` under each template
 configuration below.  The two must agree exactly on every sequence: the
 contents assigned to every cell (in order), the BuildIndex unique
 instantiations, and, under an occurrence cap, whether the enumeration
-raises and with which message.
+raises and with which message.  The configurations reach every kernel in
+:data:`~repro.core.matcher.KERNELS`.
 
 Where the property suites sample, this module enumerates, so a kernel
 fast path that diverges on one short sequence cannot pass unseen.
@@ -27,7 +28,7 @@ from repro import (
     PlaceholderField,
     build_sequence_groups,
 )
-from repro.core.matcher import make_matcher
+from repro.core.matcher import KERNELS, make_matcher, occurrence_limit
 from repro.core.spec import PatternKind, PatternSymbol, PatternTemplate
 from repro.errors import MatchLimitExceeded
 from tests.property.conftest import _shapes, make_db, template_from
@@ -67,7 +68,7 @@ def _outcome(call, sequence):
 def _mismatches(corpus, template, restriction, predicate=None, cap=None):
     """Sequences on which product and reference disagree (first three)."""
     db, sequences = corpus
-    compiled = make_matcher(template, db, restriction, predicate, cap)
+    compiled = make_matcher(template, db, restriction, predicate)
     reference = TemplateMatcher(template, db.schema, restriction, predicate, cap)
     # BuildIndex's enumeration is template-only: compare it once per
     # template, under all-matched
@@ -77,7 +78,8 @@ def _mismatches(corpus, template, restriction, predicate=None, cap=None):
     found = []
     for sequence in sequences:
         for method in methods:
-            got = _outcome(getattr(compiled, method), sequence)
+            with occurrence_limit(cap):
+                got = _outcome(getattr(compiled, method), sequence)
             want = _outcome(getattr(reference, method), sequence)
             if got != want:
                 found.append((sequence.sid, method, got, want))
@@ -96,15 +98,16 @@ def _check(corpus, configs):
     assert failures == [], f"{len(failures)} configurations diverge"
 
 
+def _plain_configs(kind):
+    return [
+        (template_from(shape, kind, level), restriction)
+        for shape, level, restriction in product(SHAPES, LEVELS, RESTRICTIONS)
+    ]
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
 def test_plain_templates(corpus, kind):
-    _check(
-        corpus,
-        [
-            (template_from(shape, kind, level), restriction)
-            for shape, level, restriction in product(SHAPES, LEVELS, RESTRICTIONS)
-        ],
-    )
+    _check(corpus, _plain_configs(kind))
 
 
 #: restricted domains for symbol X: a slice at each level, and the
@@ -116,15 +119,16 @@ ACCEPT_SETS = (
 )
 
 
+def _accept_set_configs(kind):
+    return [
+        (template_from(shape, kind).replace_symbol("X", symbol), ALL)
+        for shape, symbol in product(SHAPES, ACCEPT_SETS)
+    ]
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
 def test_accept_sets(corpus, kind):
-    _check(
-        corpus,
-        [
-            (template_from(shape, kind).replace_symbol("X", symbol), ALL)
-            for shape, symbol in product(SHAPES, ACCEPT_SETS)
-        ],
-    )
+    _check(corpus, _accept_set_configs(kind))
 
 
 def _wildcard_template(positions, kind, level):
@@ -151,15 +155,16 @@ WILDCARD_SHAPES = (
 )
 
 
+def _wildcard_configs(kind):
+    return [
+        (_wildcard_template(positions, kind, level), ALL)
+        for positions, level in product(WILDCARD_SHAPES, LEVELS)
+    ]
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
 def test_wildcards(corpus, kind):
-    _check(
-        corpus,
-        [
-            (_wildcard_template(positions, kind, level), ALL)
-            for positions, level in product(WILDCARD_SHAPES, LEVELS)
-        ],
-    )
+    _check(corpus, _wildcard_configs(kind))
 
 
 def _predicates(length):
@@ -173,16 +178,28 @@ def _predicates(length):
         yield MatchingPredicate(names, Comparison(first, "!=", last))
 
 
+def _predicate_configs(kind):
+    return [
+        (template_from(shape, kind), ALL, predicate)
+        for shape in SHAPES
+        for predicate in _predicates(len(shape))
+    ]
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
 def test_predicates(corpus, kind):
-    _check(
-        corpus,
-        [
-            (template_from(shape, kind), ALL, predicate)
-            for shape in SHAPES
-            for predicate in _predicates(len(shape))
-        ],
-    )
+    _check(corpus, _predicate_configs(kind))
+
+
+def _cap_configs(kind, cap):
+    plain = [template_from(shape, kind) for shape in SHAPES]
+    restricted = [
+        template.replace_symbol("X", symbol)
+        for template, symbol in product(plain, ACCEPT_SETS)
+    ]
+    return [
+        (template, CellRestriction.LEFT_MAXIMALITY, None, cap) for template in plain
+    ] + [(template, ALL, None, cap) for template in plain + restricted]
 
 
 @pytest.mark.parametrize("cap", [1, 2])
@@ -191,13 +208,26 @@ def test_occurrence_caps(corpus, kind, cap):
     """Left-maximality keeps one occurrence per cell but must still count
     every occurrence it enumerates against the cap, and accept-sets count
     only the occurrences they let through."""
-    plain = [template_from(shape, kind) for shape in SHAPES]
-    restricted = [
-        template.replace_symbol("X", symbol)
-        for template, symbol in product(plain, ACCEPT_SETS)
+    _check(corpus, _cap_configs(kind, cap))
+
+
+def test_axes_reach_every_kernel(corpus):
+    """Every kernel in KERNELS answers some configuration above, so none
+    can diverge from the reference unseen."""
+    db, __ = corpus
+    configs = [
+        config
+        for kind in KINDS
+        for configs_of in (
+            _plain_configs,
+            _accept_set_configs,
+            _wildcard_configs,
+            _predicate_configs,
+            lambda kind: _cap_configs(kind, 1),
+        )
+        for config in configs_of(kind)
     ]
-    _check(
-        corpus,
-        [(template, CellRestriction.LEFT_MAXIMALITY, None, cap) for template in plain]
-        + [(template, ALL, None, cap) for template in plain + restricted],
-    )
+    reached = {
+        type(make_matcher(config[0], db, *config[1:3]).kernel) for config in configs
+    }
+    assert reached == set(KERNELS)

@@ -3,7 +3,9 @@
 Every case runs three enumerations of a sequence: the reference matcher's
 ``iter_occurrences`` and the product matcher's ``assignments`` and
 ``unique_instantiations``, which enumerate every occurrence too and so
-count each one against the cap.
+count each one against the cap.  The cap is the process-wide one, set
+directly or scoped with ``occurrence_limit``; the reference matcher
+falls back to it too.
 """
 
 import pytest
@@ -33,15 +35,13 @@ def pathological_db():
     return make_db([["a"] * 20])
 
 
-def enumerations(db, cap=None, template=None):
+def enumerations(db, template=None):
     """name -> call enumerating one sequence's occurrences, returning how
     many it saw (``unique_instantiations`` sees only distinct ones)."""
     if template is None:
         template = template_from((0, 1), PatternKind.SUBSEQUENCE)
-    reference = TemplateMatcher(template, db.schema, occurrence_cap=cap)
-    product = make_matcher(
-        template, db, CellRestriction.ALL_MATCHED, occurrence_cap=cap
-    )
+    reference = TemplateMatcher(template, db.schema)
+    product = make_matcher(template, db, CellRestriction.ALL_MATCHED)
     return {
         "reference": lambda s: len(list(reference.iter_occurrences(s))),
         "assignments": lambda s: sum(
@@ -51,16 +51,16 @@ def enumerations(db, cap=None, template=None):
     }
 
 
-def counts(db, sequence, **kwargs):
-    return {name: run(sequence) for name, run in enumerations(db, **kwargs).items()}
+def counts(db, sequence):
+    return {name: run(sequence) for name, run in enumerations(db).items()}
 
 
 #: what the three enumerations see on the pathological sequence
 FULL = {"reference": 190, "assignments": 190, "unique_instantiations": 1}
 
 
-def assert_all_capped(db, sequence, **kwargs):
-    for run in enumerations(db, **kwargs).values():
+def assert_all_capped(db, sequence, template=None):
+    for run in enumerations(db, template).values():
         with pytest.raises(MatchLimitExceeded):
             run(sequence)
 
@@ -73,22 +73,25 @@ def the_sequence(db):
 class TestExplicitCap:
     def test_under_cap_enumerates_fully(self):
         db = pathological_db()
-        assert counts(db, the_sequence(db), cap=200) == FULL
+        with occurrence_limit(200):
+            assert counts(db, the_sequence(db)) == FULL
 
     def test_over_cap_raises(self):
         db = pathological_db()
-        for name, run in enumerations(db, cap=50).items():
-            with pytest.raises(MatchLimitExceeded) as info:
-                run(the_sequence(db))
-            assert "cap of 50" in str(info.value), name
+        with occurrence_limit(50):
+            for name, run in enumerations(db).items():
+                with pytest.raises(MatchLimitExceeded) as info:
+                    run(the_sequence(db))
+                assert "cap of 50" in str(info.value), name
 
     def test_cap_is_per_sequence(self):
         db = make_db([["a"] * 5, ["b"] * 5])
         groups = build_sequence_groups(db, None, [("seq", "seq")], [("ts", True)])
         totals = dict.fromkeys(FULL, 0)
-        for sequence in groups.all_sequences():
-            for name, seen in counts(db, sequence, cap=10).items():
-                totals[name] += seen
+        with occurrence_limit(10):
+            for sequence in groups.all_sequences():
+                for name, seen in counts(db, sequence).items():
+                    totals[name] += seen
         # 10 per sequence, neither exceeding the cap
         assert totals == {
             "reference": 20,
@@ -106,7 +109,8 @@ class TestProcessDefault:
     def test_explicit_cap_overrides_default(self):
         db = pathological_db()
         set_default_occurrence_limit(50)
-        assert counts(db, the_sequence(db), cap=500) == FULL
+        with occurrence_limit(500):
+            assert counts(db, the_sequence(db)) == FULL
 
     def test_context_manager_scopes_and_restores(self):
         db = pathological_db()
@@ -127,6 +131,7 @@ class TestProcessDefault:
         db = make_figure8_db()
         groups = build_sequence_groups(db, None, [("card", "card")], [("time", True)])
         long_sequence = max(groups.all_sequences(), key=len)
-        assert_all_capped(
-            db, long_sequence, cap=1, template=location_template(("X", "Y"))
-        )
+        with occurrence_limit(1):
+            assert_all_capped(
+                db, long_sequence, template=location_template(("X", "Y"))
+            )

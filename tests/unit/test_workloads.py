@@ -28,9 +28,11 @@ class TestQuerySetA:
 
     def test_template_grows_by_slice_and_append(self, db):
         steps, __ = run_queryset_a(db, "cb", n_queries=3)
-        # each follow-up query slices to one cell then appends one free
-        # symbol, so cell counts after QA1 stay small
-        assert steps[0].cells > steps[1].cells or steps[1].cells <= steps[0].cells
+        # each follow-up query slices the previous heaviest cell, pinning
+        # the prefix to that one cell, then APPENDs one free symbol: the
+        # template grows by one and only the new symbol spreads the cells
+        assert [s.template_length for s in steps] == [2, 3, 4]
+        assert [s.cells for s in steps] == [611, 5, 1]
 
     def test_precompute_only_with_ii(self, db):
         __, pre_cb = run_queryset_a(db, "cb", n_queries=2, precompute=True)
