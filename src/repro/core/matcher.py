@@ -16,18 +16,22 @@ restrictions:
 
 Occurrences are enumerated in left-to-right order: contiguous windows for
 ``SUBSTRING`` templates, depth-first index selection (lexicographic index
-order) for ``SUBSEQUENCE`` templates.  Subsequence enumeration is
-exponential in the worst case — the paper's prototype shares this property —
-but template lengths in practice are small (≤ 6).
+order) for ``SUBSEQUENCE`` templates.  Under left-maximality a
+``SUBSEQUENCE`` cell needs only its first occurrence, the greedy
+embedding, so without a matching predicate no occurrence is enumerated:
+the search visits each distinct code tuple once.  Enumerating every
+occurrence (O(Lᵐ) per sequence for a length-m template) remains for
+ALL-MATCHED, for matching predicates, and for counting against an
+occurrence cap when one is set.
 
 Matching runs in *code space*: :func:`make_matcher` compiles a template
 against the database's dictionary (:mod:`repro.events.encoding`) into a
 :class:`CompiledMatcher`, which compares integer codes over flat code rows
 and decodes cell keys back to values once per distinct cell.  The matcher
 enumerates with the first kernel of :data:`KERNELS` that accepts the
-template (``windows``, then ``enumerate``).  There is no other matcher; a
-template that cannot be compiled is a :class:`~repro.errors.SchemaError`
-at compile time.
+template (``windows``, ``greedy_embedding``, then ``enumerate``).  There
+is no other matcher; a template that cannot be compiled is a
+:class:`~repro.errors.SchemaError` at compile time.
 """
 
 from __future__ import annotations
@@ -454,8 +458,9 @@ class WindowsKernel(_Kernel):
 class EnumerateKernel(_Kernel):
     """Every template: code-space backtracking over the positions.
 
-    Covers what :class:`WindowsKernel` declines — repeated symbols,
-    wildcards, SUBSEQUENCE templates and matching predicates.  Substring
+    Covers what :class:`WindowsKernel` and :class:`GreedyEmbeddingKernel`
+    decline — SUBSTRING templates with repeated symbols or wildcards,
+    ALL-MATCHED SUBSEQUENCE templates and matching predicates.  Substring
     occurrences are enumerated window by window, subsequence occurrences
     by depth-first index selection (lexicographic index order).
     """
@@ -609,9 +614,104 @@ class EnumerateKernel(_Kernel):
         yield from extend(0, 0)
 
 
+class GreedyEmbeddingKernel(EnumerateKernel):
+    """SUBSEQUENCE templates under left-maximality, no predicate.
+
+    A cell's left-maximal occurrence is the lexicographically first
+    embedding of its codes, which is the greedy one: each position takes
+    the earliest index that still leaves room for the rest.  So the kernel
+    runs a depth-first search over the *distinct* codes at each position,
+    jumping to each code's first index, and never enumerates the other
+    occurrences.  Codes are tried in first-occurrence order, so keys come
+    out in the lexicographic order of their embeddings, which is the
+    enumerator's first-seen order.  Repeated symbols, ANY wildcards and
+    accept-sets are covered; ALL-MATCHED and predicates stay on
+    :class:`EnumerateKernel`.
+    """
+
+    name = "greedy_embedding"
+
+    @staticmethod
+    def accepts(matcher: CompiledMatcher) -> bool:
+        return (
+            matcher.template.kind is PatternKind.SUBSEQUENCE
+            and matcher.predicate is None
+            and matcher.restriction is not CellRestriction.ALL_MATCHED
+        )
+
+    def cells(self, sequence: Sequence) -> Dict[Tuple[int, ...], List[Content]]:
+        rows = sequence.rows
+        if self.restriction is CellRestriction.LEFT_MAXIMALITY_DATA:
+            return {key: [rows] for key in self._embeddings(sequence)}
+        row_of = rows.__getitem__
+        return {
+            key: [tuple(map(row_of, indices))]
+            for key, indices in self._embeddings(sequence).items()
+        }
+
+    def instantiations(self, sequence: Sequence):
+        return self._embeddings(sequence)
+
+    def _embeddings(self, sequence: Sequence) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+        """Code cell key → its greedy embedding (event indices), first-seen first.
+
+        The cap still counts every occurrence: with one set, the
+        enumerator runs first and raises past it, as it would alone.
+        """
+        m = self._m
+        n_events = len(sequence)
+        if n_events < m:
+            return {}
+        if _default_occurrence_limit is not None:
+            for __ in self._iter_code_occurrences(sequence):
+                pass
+        rows = self._code_rows(sequence)
+        symbol_ids = self._symbol_ids
+        first_position = self._first_position
+        accepts = self._accepts
+        cell_positions = self._cell_first_positions
+        # Per-call scratch keeps a matcher shared across threads safe.
+        indices: List[int] = [0] * m
+        codes_at: List[int] = [0] * m
+        found: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+        def extend(offset: int, start: int) -> None:
+            if offset == m:
+                found[tuple(map(codes_at.__getitem__, cell_positions))] = tuple(indices)
+                return
+            row = rows[offset]
+            if row is None:
+                # an ANY wildcard matches the earliest event left
+                indices[offset] = start
+                extend(offset + 1, start + 1)
+                return
+            limit = n_events - (m - offset - 1)
+            first = first_position[symbol_ids[offset]]
+            if first < offset:
+                # a repeated symbol: its code is already bound
+                candidates = (codes_at[first],)
+                accept = None
+            else:
+                candidates = dict.fromkeys(row[start:limit])
+                accept = accepts[offset]
+            for code in candidates:
+                if accept is not None and code not in accept:
+                    continue
+                try:
+                    index = row.index(code, start, limit)
+                except ValueError:
+                    return
+                indices[offset] = index
+                codes_at[offset] = code
+                extend(offset + 1, index + 1)
+
+        extend(0, 0)
+        return found
+
+
 #: the enumeration kernels, most specialised first; a matcher keeps the
 #: first whose ``accepts`` holds, and the last accepts every template
-KERNELS = (WindowsKernel, EnumerateKernel)
+KERNELS = (WindowsKernel, GreedyEmbeddingKernel, EnumerateKernel)
 
 
 # --------------------------------------------------------------------------

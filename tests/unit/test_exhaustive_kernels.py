@@ -42,6 +42,14 @@ RESTRICTIONS = tuple(CellRestriction)
 #: the other families fold under all-matched, which assigns every
 #: qualifying occurrence and so exposes the most of the enumeration
 ALL = CellRestriction.ALL_MATCHED
+LEFT_MAX = CellRestriction.LEFT_MAXIMALITY
+
+
+def _family_restrictions(kind):
+    """Restrictions the accept-set and ANY families fold under: all-matched,
+    plus, for SUBSEQUENCE, both left-maximality restrictions, under which
+    the greedy-embedding kernel answers instead of the enumerator."""
+    return RESTRICTIONS if kind is PatternKind.SUBSEQUENCE else (ALL,)
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +78,15 @@ def _mismatches(corpus, template, restriction, predicate=None, cap=None):
     db, sequences = corpus
     compiled = make_matcher(template, db, restriction, predicate)
     reference = TemplateMatcher(template, db.schema, restriction, predicate, cap)
-    # BuildIndex's enumeration is template-only: compare it once per
-    # template, under all-matched
+    # BuildIndex's enumeration is template-only: compare it (order
+    # included) under all-matched, and for SUBSEQUENCE also under the
+    # default left-maximality, where BuildIndex's make_matcher(template,
+    # db) compiles to the greedy-embedding kernel instead
     methods = ("assignments",)
-    if restriction is ALL and predicate is None:
+    if predicate is None and (
+        restriction is ALL
+        or (restriction is LEFT_MAX and template.kind is PatternKind.SUBSEQUENCE)
+    ):
         methods += ("unique_instantiations",)
     found = []
     for sequence in sequences:
@@ -121,8 +134,10 @@ ACCEPT_SETS = (
 
 def _accept_set_configs(kind):
     return [
-        (template_from(shape, kind).replace_symbol("X", symbol), ALL)
-        for shape, symbol in product(SHAPES, ACCEPT_SETS)
+        (template_from(shape, kind).replace_symbol("X", symbol), restriction)
+        for shape, symbol, restriction in product(
+            SHAPES, ACCEPT_SETS, _family_restrictions(kind)
+        )
     ]
 
 
@@ -157,8 +172,10 @@ WILDCARD_SHAPES = (
 
 def _wildcard_configs(kind):
     return [
-        (_wildcard_template(positions, kind, level), ALL)
-        for positions, level in product(WILDCARD_SHAPES, LEVELS)
+        (_wildcard_template(positions, kind, level), restriction)
+        for positions, level, restriction in product(
+            WILDCARD_SHAPES, LEVELS, _family_restrictions(kind)
+        )
     ]
 
 
@@ -197,37 +214,46 @@ def _cap_configs(kind, cap):
         template.replace_symbol("X", symbol)
         for template, symbol in product(plain, ACCEPT_SETS)
     ]
-    return [
-        (template, CellRestriction.LEFT_MAXIMALITY, None, cap) for template in plain
-    ] + [(template, ALL, None, cap) for template in plain + restricted]
+    # accept-sets under left-maximality reach the greedy-embedding
+    # kernel for SUBSEQUENCE; for SUBSTRING all-matched covers their kernel
+    left_max = plain + restricted if kind is PatternKind.SUBSEQUENCE else plain
+    return [(template, LEFT_MAX, None, cap) for template in left_max] + [
+        (template, ALL, None, cap) for template in plain + restricted
+    ]
 
 
 @pytest.mark.parametrize("cap", [1, 2])
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
 def test_occurrence_caps(corpus, kind, cap):
     """Left-maximality keeps one occurrence per cell but must still count
-    every occurrence it enumerates against the cap, and accept-sets count
-    only the occurrences they let through."""
+    every occurrence against the cap (the greedy-embedding kernel, which
+    enumerates none, counts them when a cap is set), and accept-sets
+    count only the occurrences they let through."""
     _check(corpus, _cap_configs(kind, cap))
 
 
+#: configuration builders per axis, and the kernels each must reach
+AXES = {
+    "plain": (_plain_configs, {"windows", "greedy_embedding", "enumerate"}),
+    "accept_sets": (_accept_set_configs, {"windows", "greedy_embedding", "enumerate"}),
+    "wildcards": (_wildcard_configs, {"greedy_embedding", "enumerate"}),
+    "predicates": (_predicate_configs, {"enumerate"}),
+    "caps": (lambda kind: _cap_configs(kind, 1), {"windows", "greedy_embedding", "enumerate"}),
+}
+
+
 def test_axes_reach_every_kernel(corpus):
-    """Every kernel in KERNELS answers some configuration above, so none
-    can diverge from the reference unseen."""
+    """Every kernel in KERNELS answers some configuration above, and each
+    axis reaches every kernel that accepts its templates, so no kernel
+    can diverge from the reference unseen on an axis it serves."""
     db, __ = corpus
-    configs = [
-        config
-        for kind in KINDS
-        for configs_of in (
-            _plain_configs,
-            _accept_set_configs,
-            _wildcard_configs,
-            _predicate_configs,
-            lambda kind: _cap_configs(kind, 1),
-        )
-        for config in configs_of(kind)
-    ]
     reached = {
-        type(make_matcher(config[0], db, *config[1:3]).kernel) for config in configs
+        axis: {
+            make_matcher(config[0], db, *config[1:3]).kernel.name
+            for kind in KINDS
+            for config in configs_of(kind)
+        }
+        for axis, (configs_of, __) in AXES.items()
     }
-    assert reached == set(KERNELS)
+    assert reached == {axis: kernels for axis, (__, kernels) in AXES.items()}
+    assert set().union(*reached.values()) == {kernel.name for kernel in KERNELS}

@@ -19,8 +19,10 @@ from repro import CellRestriction, SOLAPEngine
 from repro.core.matcher import KERNELS, make_matcher
 from repro.core.stats import QueryStats
 from repro.obs.metrics import MetricsRegistry, register_engine_metrics
+from repro.events.sequence import build_sequence_groups
 from repro.service import QueryService, ServiceConfig
 from tests.conftest import figure8_spec, make_figure8_db
+from tests.reference_matcher import TemplateMatcher
 
 #: the kernel each ``scan_cold`` shape compiles to, as documented in
 #: docs/performance.md ("Matcher kernels")
@@ -34,7 +36,7 @@ SCAN_COLD_KERNELS = {
     "sliced_x": "windows",
     "within_x": "windows",
     "repeat_xyyx": "enumerate",
-    "subseq_xy": "enumerate",
+    "subseq_xy": "greedy_embedding",
     "any_gap": "enumerate",
     "inout_trip": "enumerate",
     "inout_round_trip": "enumerate",
@@ -45,7 +47,7 @@ SCAN_COLD_KERNELS = {
 
 
 def test_kernel_order():
-    assert [kernel.name for kernel in KERNELS] == ["windows", "enumerate"]
+    assert [kernel.name for kernel in KERNELS] == ["windows", "greedy_embedding", "enumerate"]
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,32 @@ def test_scan_cold_shapes_select_documented_kernel(scan_cold_ops):
     }
     assert selected == SCAN_COLD_KERNELS
     per_op = Counter(SCAN_COLD_KERNELS[name] for name, __, __ in scan_cold_ops)
-    assert per_op == {"windows": 8, "enumerate": 9}
+    assert per_op == {"windows": 8, "greedy_embedding": 2, "enumerate": 7}
+
+
+def test_scan_cold_shapes_match_the_reference(scan_cold_ops):
+    """Each shape's cells equal the value-space reference's on every
+    sequence CB scans for it.  The benchmark checks its answers against
+    the same engine, so it cannot catch a kernel bug; this can, on data
+    with hierarchies, transit predicates and repeated symbols."""
+    shapes = {name: (db, spec) for name, db, spec in scan_cold_ops}
+    diverging = []
+    for name, (db, spec) in sorted(shapes.items()):
+        groups = build_sequence_groups(
+            db, spec.where, spec.cluster_by, spec.sequence_by, spec.group_by
+        )
+        sequences = list(groups.all_sequences())
+        assert sequences, name
+        compiled = make_matcher(spec.template, db, spec.restriction, spec.predicate)
+        reference = TemplateMatcher(
+            spec.template, db.schema, spec.restriction, spec.predicate
+        )
+        if any(
+            compiled.assignments(sequence) != reference.assignments(sequence)
+            for sequence in sequences
+        ):
+            diverging.append(name)
+    assert diverging == []
 
 
 def _kernel_totals(registry: MetricsRegistry) -> dict:
@@ -78,30 +105,33 @@ def _kernel_totals(registry: MetricsRegistry) -> dict:
     }
 
 
-#: case -> (strategy, template positions, restriction, expected kernel);
-#: the II cases are ALL-MATCHED so counting folds the listed sequences
+LEFT_MAX = CellRestriction.LEFT_MAXIMALITY
+ALL = CellRestriction.ALL_MATCHED
+
+#: case -> (strategy, template positions, kind, restriction, expected
+#: kernel); the II cases are ALL-MATCHED so counting folds the listed
+#: sequences
 CASES = {
-    "cb-windows": ("cb", ("X", "Y"), CellRestriction.LEFT_MAXIMALITY, "windows"),
-    "cb-enumerate": (
-        "cb", ("X", "Y", "Y", "X"), CellRestriction.LEFT_MAXIMALITY, "enumerate",
+    "cb-windows": ("cb", ("X", "Y"), "substring", LEFT_MAX, "windows"),
+    "cb-greedy_embedding": (
+        "cb", ("X", "Y"), "subsequence", LEFT_MAX, "greedy_embedding",
     ),
-    "ii-windows": ("ii", ("X", "Y"), CellRestriction.ALL_MATCHED, "windows"),
-    "ii-enumerate": (
-        "ii", ("X", "Y", "Y", "X"), CellRestriction.ALL_MATCHED, "enumerate",
-    ),
+    "cb-enumerate": ("cb", ("X", "Y", "Y", "X"), "substring", LEFT_MAX, "enumerate"),
+    "ii-windows": ("ii", ("X", "Y"), "substring", ALL, "windows"),
+    "ii-enumerate": ("ii", ("X", "Y", "Y", "X"), "substring", ALL, "enumerate"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_query_names_its_kernel(case):
-    strategy, positions, restriction, kernel = CASES[case]
+    strategy, positions, kind, restriction, kernel = CASES[case]
     engine = SOLAPEngine(make_figure8_db())
     registry = MetricsRegistry()
     register_engine_metrics(registry, engine)
     before = _kernel_totals(registry)
     assert set(before) == {kernel.name for kernel in KERNELS}
 
-    spec = figure8_spec(positions, restriction=restriction)
+    spec = figure8_spec(positions, kind, restriction=restriction)
     __, stats = engine.execute(spec, strategy, analyze=True)
 
     assert stats.kernel == kernel

@@ -1,11 +1,12 @@
 """Unit tests for the per-sequence occurrence enumeration cap.
 
-Every case runs three enumerations of a sequence: the reference matcher's
+Most cases run three enumerations of a sequence: the reference matcher's
 ``iter_occurrences`` and the product matcher's ``assignments`` and
 ``unique_instantiations``, which enumerate every occurrence too and so
-count each one against the cap.  The cap is the process-wide one, set
-directly or scoped with ``occurrence_limit``; the reference matcher
-falls back to it too.
+count each one against the cap.  ``TestGreedyEmbeddingCap`` pins the
+kernel that enumerates none: it counts them only when a cap is set.  The
+cap is the process-wide one, set directly or scoped with
+``occurrence_limit``; the reference matcher falls back to it too.
 """
 
 import pytest
@@ -135,3 +136,40 @@ class TestProcessDefault:
             assert_all_capped(
                 db, long_sequence, template=location_template(("X", "Y"))
             )
+
+
+class TestGreedyEmbeddingCap:
+    """SUBSEQUENCE under left-maximality compiles to the greedy-embedding
+    kernel, which finds each cell's first occurrence without enumerating
+    the others.  The cap still counts every occurrence: with one set, the
+    kernel counts them first, so it decides and words the error exactly
+    as the enumerator does."""
+
+    def matchers(self, db):
+        template = template_from((0, 1), PatternKind.SUBSEQUENCE)
+        greedy = make_matcher(template, db)
+        enumerator = make_matcher(template, db, CellRestriction.ALL_MATCHED)
+        assert greedy.kernel.name == "greedy_embedding"
+        assert enumerator.kernel.name == "enumerate"
+        return greedy, enumerator
+
+    def test_over_cap_raises_the_enumerators_error(self):
+        db = pathological_db()
+        greedy, enumerator = self.matchers(db)
+        sequence = the_sequence(db)
+        with occurrence_limit(50):
+            with pytest.raises(MatchLimitExceeded) as expected:
+                enumerator.assignments(sequence)
+            for run in (greedy.assignments, greedy.unique_instantiations):
+                with pytest.raises(MatchLimitExceeded) as info:
+                    run(sequence)
+                assert str(info.value) == str(expected.value)
+        assert "cap of 50" in str(expected.value)
+
+    def test_under_cap_returns_one_cell(self):
+        db = pathological_db()
+        greedy, __ = self.matchers(db)
+        sequence = the_sequence(db)
+        with occurrence_limit(200):
+            assert greedy.assignments(sequence) == {("a", "a"): [(0, 1)]}
+            assert greedy.unique_instantiations(sequence) == [("a", "a")]
